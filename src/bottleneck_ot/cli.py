@@ -9,6 +9,9 @@ Exit codes (scriptable):
   6  inconclusive verdict (convergence or stability)
   7  unstable with witness
 
+A ``SolverInvariantError`` (a solver breaking its own guarantee) is a bug, not
+bad input: it propagates with its traceback instead of exiting with code 2.
+
 Every distance prints with 12 significant digits; masses print as exact
 rationals.  Identical inputs, seed and flags produce byte-identical output.
 """
@@ -21,7 +24,7 @@ from fractions import Fraction
 from . import fileio
 from .convergence import CONSISTENT, NOT_CONVERGENT, d_convergence_verdict
 from .decomposition import check_feasibility, decompose, verify_decomposition
-from .errors import BottleneckOTError, InfeasibleInstance, SpaceMismatch
+from .errors import BottleneckOTError, InfeasibleInstance, SolverInvariantError, SpaceMismatch
 from .fileio import MalformedInput, fraction_str
 from .spaces import hausdorff
 from .stability import (
@@ -51,8 +54,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_dist(args) -> int:
-    mu = fileio.load_measure_file(args.measure_a)
-    nu = fileio.load_measure_file(args.measure_b)
+    mu, nu = fileio.load_measure_pair(args.measure_a, args.measure_b)
     report = w_infinity(mu, nu)
     lines = [f"w_infinity {_fmt(report.value)}"]
     payload = {"w_infinity": _fmt(report.value)}
@@ -88,8 +90,7 @@ def _plan_rows(plan):
 
 
 def cmd_plan(args) -> int:
-    mu = fileio.load_measure_file(args.measure_a)
-    nu = fileio.load_measure_file(args.measure_b)
+    mu, nu = fileio.load_measure_pair(args.measure_a, args.measure_b)
     report = w_infinity(mu, nu)
     rows = _plan_rows(report.plan)
     if args.format == "json":
@@ -414,6 +415,8 @@ def main(argv=None) -> int:
     except SpaceMismatch as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SPACE_MISMATCH
+    except SolverInvariantError:
+        raise  # a solver bug, not bad input: keep the traceback, not exit 2
     except (MalformedInput, BottleneckOTError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import CasePreconditionViolated, InfeasibleInstance, TooManySets
-from .flows import max_flow
+from .flows import max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure, as_fraction, make_measure
 
 FEASIBILITY_CAP = 14
@@ -128,29 +128,30 @@ def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
 def feasibility_by_flow(instance: DecompositionInstance) -> bool:
     """Independent oracle: targets route through a set-to-atom bipartite graph.
 
-    Set node i supplies x_i, atom a absorbs xi({a}), edges i -> a iff a in B_i.
+    Set node i supplies x_i, atom a absorbs xi({a}), and an uncapacitated
+    edge i -> a exists iff a in B_i.
     The Hall conditions hold iff the max flow saturates every supply and the
     totals agree.
     """
     m = instance.m
     weights = instance.xi.weights
     atoms = sorted(weights)
-    total_targets = sum(instance.targets, start=ZERO)
-    if instance.xi.total_mass != total_targets:
+    if instance.xi.total_mass != sum(instance.targets, start=ZERO):
         return False
-    set_pos = {i: 1 + i for i in range(m)}
+    _, (supply, demand) = scale_masses(instance.targets, [weights[a] for a in atoms])
+    total = sum(supply)
     atom_pos = {a: 1 + m + k for k, a in enumerate(atoms)}
     sink = 1 + m + len(atoms)
     edges = []
     for i in range(m):
-        edges.append((0, set_pos[i], instance.targets[i]))
+        edges.append((0, 1 + i, supply[i]))
         for a in instance.sets[i]:
             if a in atom_pos:
-                edges.append((set_pos[i], atom_pos[a], instance.targets[i]))
-    for a in atoms:
-        edges.append((atom_pos[a], sink, weights[a]))
+                edges.append((1 + i, atom_pos[a], total))
+    for a, d in zip(atoms, demand):
+        edges.append((atom_pos[a], sink, d))
     value, _ = max_flow(sink + 1, edges, 0, sink)
-    return value == total_targets
+    return value == total
 
 
 def arrangement(instance: DecompositionInstance):

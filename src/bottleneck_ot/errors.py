@@ -63,3 +63,7 @@ class NotInvariant(BottleneckOTError):
 
 class NotInvariantMeasure(BottleneckOTError):
     """The probed measure is not a fixed point of the pushforward."""
+
+
+class SolverInvariantError(BottleneckOTError):
+    """A solver broke one of its own guarantees; a bug, never bad input."""

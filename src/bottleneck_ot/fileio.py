@@ -85,9 +85,11 @@ def load_json(path):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
-def parse_measure(obj) -> DiscreteMeasure:
+def parse_measure(obj, space: FiniteMetricSpace | None = None) -> DiscreteMeasure:
+    """A measure object; ``space``, when given, stands in for the embedded one."""
     try:
-        space = parse_space(obj["space"])
+        if space is None:
+            space = parse_space(obj["space"])
         return parse_weights(space, obj["weights"])
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad measure object: {exc}") from exc
@@ -95,6 +97,14 @@ def parse_measure(obj) -> DiscreteMeasure:
 
 def load_measure_file(path) -> DiscreteMeasure:
     return parse_measure(load_json(path))
+
+
+def load_measure_pair(path_a, path_b):
+    """Two measure files; a space object both embed alike is built only once."""
+    obj_a, obj_b = load_json(path_a), load_json(path_b)
+    mu = parse_measure(obj_a)
+    shared = isinstance(obj_b, dict) and obj_b.get("space") == obj_a["space"]
+    return mu, parse_measure(obj_b, mu.space if shared else None)
 
 
 def measure_to_obj(mu: DiscreteMeasure):

@@ -1,167 +1,171 @@
-"""Exact network flows on small graphs.
+"""Exact network flows on integer capacities.
 
-Capacities arrive as rationals; they are scaled by a common denominator so all
-flow arithmetic runs on integers and stays exact.  Costs (used only by the
-min-cost routine) may be floats — masses never are.
+Each solve scales its masses to integers once, by their common denominator
+(``scale_masses``), and builds every network from those integers; no flow
+routine sees a ``Fraction``.  ``max_flow`` is Dinic's algorithm.
+``min_cost_max_flow`` is successive shortest paths: Dijkstra on a heap with
+Johnson potentials (Edmonds & Karp 1972), each search stopping once it settles
+the sink.  Float costs are mapped exactly to integers under one power-of-two
+scale, so reduced costs never turn negative through rounding.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 
 
-class _FlowNetwork:
-    """Adjacency-list residual network with integer capacities."""
+def scale_masses(*groups):
+    """Common denominator of all masses, and each group's masses times it.
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-
-    def add_edge(self, u: int, v: int, cap: int, cost: float = 0.0) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
+    Each group is a sequence of nonnegative rationals; returns
+    ``(denom, [[int, ...], ...])`` with the groups in the order given.
+    """
+    denom = 1
+    for group in groups:
+        for w in group:
+            denom = lcm(denom, w.denominator)
+    return denom, [[w.numerator * (denom // w.denominator) for w in group] for group in groups]
 
 
-def _dinic(net: _FlowNetwork, s: int, t: int) -> int:
-    flow = 0
-    n = net.n
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in net.head[u]:
-                v = net.to[e]
-                if net.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            return flow
-        it = [0] * n
-
-        def dfs(u: int, pushed: int) -> int:
-            if u == t:
-                return pushed
-            while it[u] < len(net.head[u]):
-                e = net.head[u][it[u]]
-                v = net.to[e]
-                if net.cap[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, net.cap[e]))
-                    if got:
-                        net.cap[e] -= got
-                        net.cap[e ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
-        while True:
-            pushed = dfs(s, 1 << 62)
-            if not pushed:
-                break
-            flow += pushed
-
-
-def _common_denominator(values) -> int:
-    d = 1
-    for v in values:
-        d = lcm(d, Fraction(v).denominator)
-    return d
+def _residual(n_nodes: int, edges):
+    """Adjacency lists, heads and capacities; edge k is 2k, its reverse 2k + 1."""
+    head: list[list[int]] = [[] for _ in range(n_nodes)]
+    to: list[int] = []
+    cap: list[int] = []
+    for k, (u, v, c, *_) in enumerate(edges):
+        head[u].append(2 * k)
+        head[v].append(2 * k + 1)
+        to += (v, u)
+        cap += (c, 0)
+    return head, to, cap
 
 
 def max_flow(n_nodes: int, edges, source: int, sink: int):
-    """Exact max flow with rational capacities.
+    """Exact max flow by Dinic's algorithm.
 
-    ``edges`` is an iterable of (u, v, capacity) with Fraction capacities.
-    Returns (value, flows) where ``flows`` maps edge position -> Fraction flow.
+    ``edges`` is a sequence of (u, v, capacity) with nonnegative integer
+    capacities.  Returns (value, flows) where ``flows[k]`` is the flow on
+    edge k.
     """
-    edges = list(edges)
-    denom = _common_denominator(cap for _, _, cap in edges)
-    net = _FlowNetwork(n_nodes)
-    ids = []
-    for u, v, cap in edges:
-        scaled = Fraction(cap) * denom
-        assert scaled.denominator == 1
-        ids.append(net.add_edge(u, v, int(scaled)))
-    value = _dinic(net, source, sink)
-    flows = {}
-    for pos, ((u, v, cap), e) in enumerate(zip(edges, ids)):
-        used = net.cap[e ^ 1]  # reverse capacity equals routed flow
-        if used:
-            flows[pos] = Fraction(used, denom)
-    return Fraction(value, denom), flows
+    head, to, cap = _residual(n_nodes, edges)
+    value = 0
+    while True:
+        level = [-1] * n_nodes
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            next_level = level[u] + 1
+            for e in head[u]:
+                v = to[e]
+                if cap[e] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[sink] < 0:
+            return value, cap[1::2]
+        # Blocking flow: walk the level graph along each node's current arc,
+        # retreat from dead ends, augment at the sink, then resume at the tail
+        # of the first saturated edge (where a restart would arrive).
+        it = [0] * n_nodes
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = min(cap[e] for e in path)
+                cut = len(path)
+                for k, e in enumerate(path):
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                    if cap[e] == 0 and k < cut:
+                        cut = k
+                del path[cut:]
+                value += push
+                u = to[path[-1]] if path else source
+                continue
+            arcs = head[u]
+            i = it[u]
+            want = level[u] + 1
+            n_arcs = len(arcs)
+            while i < n_arcs:
+                e = arcs[i]
+                if cap[e] > 0 and level[to[e]] == want:
+                    break
+                i += 1
+            it[u] = i
+            if i < n_arcs:
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
+
+
+
+def _integer_costs(costs) -> list[int]:
+    """Each float cost c as (c * 2**k, -c * 2**k), for the least k making all integers."""
+    shift = max((float(c).as_integer_ratio()[1].bit_length() for c in costs), default=1)
+    out: list[int] = []
+    for c in costs:
+        p, q = float(c).as_integer_ratio()
+        p <<= shift - q.bit_length()
+        out += (p, -p)
+    return out
 
 
 def min_cost_max_flow(n_nodes: int, edges, source: int, sink: int):
-    """Successive shortest paths; integer masses, float costs.
+    """Min-cost max flow by successive shortest paths.
 
-    ``edges``: iterable of (u, v, capacity, cost) with rational capacities and
-    nonnegative float costs.  Returns (flow value, total cost, flows dict).
+    ``edges`` is a sequence of (u, v, capacity, cost) with nonnegative integer
+    capacities and nonnegative float costs.  Returns (value, flows) where
+    ``flows[k]`` is the flow on edge k; the flow has least cost exactly, for
+    the costs as given.
     """
-    edges = list(edges)
-    denom = _common_denominator(cap for _, _, cap, _ in edges)
-    net = _FlowNetwork(n_nodes)
-    ids = []
-    for u, v, cap, cost in edges:
-        scaled = Fraction(cap) * denom
-        assert scaled.denominator == 1
-        ids.append(net.add_edge(u, v, int(scaled), float(cost)))
-
-    inf = float("inf")
-    total = 0
+    head, to, cap = _residual(n_nodes, edges)
+    cost = _integer_costs([edge[3] for edge in edges])
+    # All costs are nonnegative, so zero potentials start the reduced costs
+    # nonnegative; the update after each search keeps them so.
+    potential = [0] * n_nodes
+    value = 0
     while True:
-        # Bellman-Ford: edge costs are nonnegative but reduced residual costs
-        # can be negative, and the graphs here are tiny.
-        dist = [inf] * n_nodes
-        in_queue = [False] * n_nodes
-        prev_edge = [-1] * n_nodes
-        dist[source] = 0.0
-        queue = [source]
-        in_queue[source] = True
-        while queue:
-            u = queue.pop(0)
-            in_queue[u] = False
-            for e in net.head[u]:
-                v = net.to[e]
-                if net.cap[e] > 0 and dist[u] + net.cost[e] < dist[v] - 1e-15:
-                    dist[v] = dist[u] + net.cost[e]
-                    prev_edge[v] = e
-                    if not in_queue[v]:
-                        queue.append(v)
-                        in_queue[v] = True
-        if dist[sink] == inf:
-            break
+        dist: list = [None] * n_nodes
+        settled = [False] * n_nodes
+        via = [-1] * n_nodes
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            if u == sink:
+                break
+            base = d + potential[u]
+            for e in head[u]:
+                if cap[e] > 0:
+                    v = to[e]
+                    nd = base + cost[e] - potential[v]
+                    dv = dist[v]
+                    if dv is None or nd < dv:
+                        dist[v] = nd
+                        via[v] = e
+                        heappush(heap, (nd, v))
+        if not settled[sink]:
+            return value, cap[1::2]
+        # Nodes the search did not settle lie at least as far as the sink.
+        reach = dist[sink]
+        for v in range(n_nodes):
+            potential[v] += dist[v] if settled[v] else reach
         push = None
         v = sink
         while v != source:
-            e = prev_edge[v]
-            push = net.cap[e] if push is None else min(push, net.cap[e])
-            v = net.to[e ^ 1]
+            e = via[v]
+            push = cap[e] if push is None else min(push, cap[e])
+            v = to[e ^ 1]
         v = sink
         while v != source:
-            e = prev_edge[v]
-            net.cap[e] -= push
-            net.cap[e ^ 1] += push
-            v = net.to[e ^ 1]
-        total += push
-
-    flows = {}
-    cost_terms = []
-    for pos, ((u, v, cap, cost), e) in enumerate(zip(edges, ids)):
-        used = net.cap[e ^ 1]
-        if used:
-            flows[pos] = Fraction(used, denom)
-            cost_terms.append(float(cost) * used / denom)
-    import math
-
-    return Fraction(total, denom), math.fsum(cost_terms), flows
+            e = via[v]
+            cap[e] -= push
+            cap[e ^ 1] += push
+            v = to[e ^ 1]
+        value += push

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotProbability, SpaceMismatch, TooLarge, UnsupportedP
-from .flows import max_flow, min_cost_max_flow
+from .errors import NotProbability, SolverInvariantError, SpaceMismatch, TooLarge, UnsupportedP
+from .flows import max_flow, min_cost_max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure
 from .spaces import same_space
 
@@ -73,79 +73,108 @@ def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, probability: b
         )
 
 
-def _flow_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float):
-    """Exact max flow on the bipartite graph of pairs with d <= t."""
-    space = mu.space
-    sources = sorted(mu.weights)
-    targets = sorted(nu.weights)
-    s_pos = {a: 1 + k for k, a in enumerate(sources)}
-    t_pos = {b: 1 + len(sources) + k for k, b in enumerate(targets)}
-    sink = 1 + len(sources) + len(targets)
-    edges = []
-    for a in sources:
-        edges.append((0, s_pos[a], mu.weights[a]))
-    admissible = []
-    for a in sources:
-        for b in targets:
-            if space.d(a, b) <= t:
-                admissible.append((a, b))
-                edges.append((s_pos[a], t_pos[b], mu.total_mass))
-    for b in targets:
-        edges.append((t_pos[b], sink, nu.weights[b]))
-    value, flows = max_flow(sink + 1, edges, 0, sink)
-    plan_entries = []
-    offset = len(sources)
-    for k, (a, b) in enumerate(admissible):
-        f = flows.get(offset + k)
-        if f:
-            plan_entries.append((a, b, f))
-    return value, tuple(sorted(plan_entries))
+class _Bipartite:
+    """One solve's network data, read from the measures once.
+
+    Supports are sorted; masses are scaled to integers by ``denom`` (``total``
+    is mu's); ``table[i][j]`` is the distance from ``sources[i]`` to
+    ``targets[j]``.  Node 0 is the source, then mu's atoms, nu's atoms, the sink.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        self.sources, self.targets = sorted(mu.weights), sorted(nu.weights)
+        self.denom, (self.supply, self.demand) = scale_masses(
+            [mu.weights[a] for a in self.sources], [nu.weights[b] for b in self.targets]
+        )
+        self.total = sum(self.supply)
+        self.sink = 1 + len(self.sources) + len(self.targets)
+        dist = mu.space.dist
+        self.table = [[dist[a][b] for b in self.targets] for a in self.sources]
+
+    def edges(self, pairs, costs=None):
+        """Supply edges, an uncapacitated edge per (i, j) pair, demand edges.
+
+        With ``costs``, one per pair, every edge carries a cost, zero off the pairs.
+        """
+        n, sink, total = len(self.sources), self.sink, self.total
+        if costs is None:
+            middle, tail = [(1 + i, 1 + n + j, total) for i, j in pairs], ()
+        else:
+            middle = [(1 + i, 1 + n + j, total, c) for (i, j), c in zip(pairs, costs)]
+            tail = (0.0,)
+        return (
+            [(0, 1 + i, s, *tail) for i, s in enumerate(self.supply)]
+            + middle
+            + [(1 + n + j, sink, d, *tail) for j, d in enumerate(self.demand)]
+        )
+
+    def entries(self, pairs, flows) -> tuple:
+        """Plan entries, in sorted order, of the pairs that carry flow."""
+        n, denom = len(self.sources), self.denom
+        return tuple(
+            (self.sources[i], self.targets[j], Fraction(f, denom))
+            for (i, j), f in zip(pairs, flows[n:])
+            if f
+        )
+
+
+def _flow_at_threshold(net: _Bipartite, t: float):
+    """Exact max flow on the pairs with d <= t: (value, pairs, edge flows)."""
+    pairs = [
+        (i, j) for i, row in enumerate(net.table) for j, d in enumerate(row) if d <= t
+    ]
+    value, flows = max_flow(net.sink + 1, net.edges(pairs), 0, net.sink)
+    return value, pairs, flows
+
+
+def _check_saturated(value: int, net: _Bipartite, what: str) -> None:
+    if value != net.total:
+        raise SolverInvariantError(f"{what} routed {value} of {net.total} units of 1/{net.denom}")
 
 
 def feasible_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> bool:
     """True iff a coupling supported on pairs with d(i, j) <= t exists."""
     _require_comparable(mu, nu)
-    value, _ = _flow_at_threshold(mu, nu, t)
-    return value == mu.total_mass
+    net = _Bipartite(mu, nu)
+    value, _, _ = _flow_at_threshold(net, t)
+    return value == net.total
 
 
 def candidate_thresholds(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[float]:
     """Sorted distinct pairwise distances between the two supports, plus 0."""
-    space = mu.space
-    values = {0.0}
-    for a in mu.weights:
-        for b in nu.weights:
-            values.add(space.d(a, b))
-    return sorted(values)
+    return sorted({0.0}.union(*_Bipartite(mu, nu).table))
 
 
 def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
     """Bottleneck transport value with an optimal plan as witness.
 
     Binary search over the sorted distinct distances: feasibility is monotone
-    in the threshold and the optimum is attained at a matrix entry.
+    in the threshold and the optimum is attained at a matrix entry.  Masses
+    and distances are read once; each probe builds its network from them.
     """
     _require_comparable(mu, nu)
-    thresholds = candidate_thresholds(mu, nu)
+    net = _Bipartite(mu, nu)
+    thresholds = sorted({0.0}.union(*net.table))
     lo, hi = 0, len(thresholds) - 1
     calls = 0
-    plans: dict[int, tuple] = {}
+    witness = None  # (pairs, flows) of the smallest feasible threshold probed
     # The largest threshold admits the full bipartite graph and is always
     # feasible for probability measures, so the search space is never empty.
     while lo < hi:
         mid = (lo + hi) // 2
-        value, plan_entries = _flow_at_threshold(mu, nu, thresholds[mid])
+        value, pairs, flows = _flow_at_threshold(net, thresholds[mid])
         calls += 1
-        if value == mu.total_mass:
+        if value == net.total:
             hi = mid
-            plans[mid] = plan_entries
+            witness = pairs, flows
         else:
             lo = mid + 1
-    if lo not in plans:
-        value, plans[lo] = _flow_at_threshold(mu, nu, thresholds[lo])
+    if witness is None:  # only the largest threshold is left, and it was not probed
+        value, pairs, flows = _flow_at_threshold(net, thresholds[lo])
         calls += 1
-        assert value == mu.total_mass
-    plan = TransportPlan(mu, nu, plans[lo])
+        _check_saturated(value, net, "max flow at the largest threshold")
+        witness = pairs, flows
+    plan = TransportPlan(mu, nu, net.entries(*witness))
     return SolveReport(
         value=thresholds[lo],
         plan=plan,
@@ -186,33 +215,20 @@ def w_infinity_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def _wp_min_cost_flow(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
-    space = mu.space
-    sources = sorted(mu.weights)
-    targets = sorted(nu.weights)
-    s_pos = {a: 1 + k for k, a in enumerate(sources)}
-    t_pos = {b: 1 + len(sources) + k for k, b in enumerate(targets)}
-    sink = 1 + len(sources) + len(targets)
-    edges = []
-    for a in sources:
-        edges.append((0, s_pos[a], mu.weights[a], 0.0))
-    pairs = []
-    for a in sources:
-        for b in targets:
-            pairs.append((a, b))
-            edges.append((s_pos[a], t_pos[b], mu.total_mass, space.d(a, b) ** p))
-    for b in targets:
-        edges.append((t_pos[b], sink, nu.weights[b], 0.0))
-    value, cost, flows = min_cost_max_flow(sink + 1, edges, 0, sink)
-    assert value == mu.total_mass
-    offset = len(sources)
-    entries = tuple(
-        sorted(
-            (a, b, flows[offset + k])
-            for k, (a, b) in enumerate(pairs)
-            if flows.get(offset + k)
+    net = _Bipartite(mu, nu)
+
+    def finite_pairs():  # a pair at infinite distance carries no mass at finite cost
+        return (
+            (i, j) for i, row in enumerate(net.table) for j, d in enumerate(row) if d < math.inf
         )
-    )
-    return cost, TransportPlan(mu, nu, entries)
+
+    costs = [d ** p for row in net.table for d in row if d < math.inf]
+    value, flows = min_cost_max_flow(net.sink + 1, net.edges(finite_pairs(), costs), 0, net.sink)
+    if value < net.total and len(costs) < len(net.sources) * len(net.targets):
+        return math.inf, None  # the rest of the mass can only cross an infinite distance
+    _check_saturated(value, net, "min-cost flow")
+    cost = math.fsum(c * f / net.denom for c, f in zip(costs, flows[len(net.sources):]) if f)
+    return cost, TransportPlan(mu, nu, net.entries(finite_pairs(), flows))
 
 
 def w_p_enumerate(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
@@ -276,7 +292,11 @@ def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int, method: str = "flow") 
 
 
 def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
-    """Like ``w_p`` but also returns the optimal plan found by the flow."""
+    """Like ``w_p`` but also returns the optimal plan found by the flow.
+
+    When every coupling moves mass across an infinite distance the value is
+    infinite and the plan is None.
+    """
     if p not in (1, 2):
         raise UnsupportedP(f"p must be 1 or 2, got {p}")
     _require_comparable(mu, nu)
