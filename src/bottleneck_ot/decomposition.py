@@ -19,15 +19,22 @@ which bound the slice size hits).  All arithmetic is exact rationals, so the
 output satisfies the three conclusions without tolerance.  Termination is
 measured by the arrangement rho: the number of occupied intersection cells,
 at most 2^m - 1.
+
+Each step reads one table of exact integer subset slacks (index subsets as
+bitmasks), built by a subset-sum (zeta) transform over the occupied cells in
+O(m 2^m) additions.  The construction runs from an explicit worklist, so no
+interpreter setting such as the recursion limit changes.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from operator import add
 
-from .errors import CasePreconditionViolated, InfeasibleInstance, TooManySets
+from .errors import CasePreconditionViolated, InfeasibleInstance, SolverInvariantError, TooManySets
 from .flows import max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure, as_fraction, make_measure
 
@@ -92,18 +99,62 @@ class VerificationVerdict:
         return f"Violation({self.condition}, i={self.index})"
 
 
-def _union_mass(weights: dict, sets, indices) -> Fraction:
-    union = set()
-    for i in indices:
-        union |= sets[i]
-    return sum((weights[a] for a in union if a in weights), start=ZERO)
+def _cells(weights, sets) -> dict:
+    """Occupied cells: mask (bit i set iff in sets[i]) -> atoms; atoms in no set left out."""
+    masks = dict.fromkeys(weights, 0)
+    for i, block in enumerate(sets):
+        for a in masks.keys() & block:
+            masks[a] |= 1 << i
+    cells: dict[int, list] = {}
+    for a, mask in masks.items():
+        if mask:
+            cells.setdefault(mask, []).append(a)
+    return cells
 
 
-def _subsets_in_order(m: int, proper_only: bool = False):
-    """Nonempty index subsets ordered by cardinality, then lexicographically."""
-    top = m - 1 if proper_only else m
-    for size in range(1, top + 1):
-        yield from combinations(range(m), size)
+@lru_cache(maxsize=None)
+def _masks_in_order(m: int) -> tuple:
+    """Nonempty index subsets as masks, by cardinality, then lexicographically (full set last)."""
+    return tuple(sum(1 << i for i in c) for k in range(1, m + 1) for c in combinations(range(m), k))
+
+
+def _indices(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _slack_table(weights, sets, targets):
+    """Exact integer slack of every index subset: (den, cells, slack).
+
+    Masses and targets are scaled by their common denominator den; cells maps
+    each occupied cell to (scaled mass, atoms).  The subset-sum transform gives
+    inside[T], the mass of the cells inside T, one slice-wise sum per bit.  The
+    union of the sets in S holds the covered mass not inside the complement of
+    S, so slack[S] = covered - inside[~S] - (targets summed over S).
+    """
+    den = lcm(*(w.denominator for w in weights.values()), *(t.denominator for t in targets))
+    n = 1 << len(sets)
+    inside = [0] * n
+    cells = {}
+    for mask, atoms in _cells(weights, sets).items():
+        mass = sum(weights[a].numerator * (den // weights[a].denominator) for a in atoms)
+        cells[mask] = (mass, atoms)
+        inside[mask] = mass
+    covered = sum(inside)
+    for i in range(len(sets)):
+        low, width = 1 << i, 2 << i
+        if low * width <= n:  # fewer offsets than blocks: one strided slice per offset
+            for j in range(low, width):
+                inside[j::width] = map(add, inside[j::width], inside[j - low::width])
+        else:
+            for j in range(low, n, width):
+                inside[j:j + low] = map(add, inside[j:j + low], inside[j - low:j])
+    # Target sums by the highest bit: the masks below 2^(i+1) are those below
+    # 2^i, then the same masks with bit i added.
+    tsum = [0]
+    for t in targets:
+        t = t.numerator * (den // t.denominator)
+        tsum += [s + t for s in tsum]
+    return den, cells, [covered - c - t for c, t in zip(reversed(inside), tsum)]
 
 
 def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
@@ -111,18 +162,18 @@ def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
     m = instance.m
     if m > FEASIBILITY_CAP:
         raise TooManySets(f"feasibility check capped at m <= {FEASIBILITY_CAP}")
-    weights = dict(instance.xi.weights)
     total_targets = sum(instance.targets, start=ZERO)
     if instance.xi.total_mass != total_targets:
         return FeasibilityVerdict(
             False, "total-mass", tuple(range(m)), instance.xi.total_mass, total_targets
         )
-    for subset in _subsets_in_order(m):
-        lhs = _union_mass(weights, instance.sets, subset)
-        rhs = sum((instance.targets[i] for i in subset), start=ZERO)
-        if lhs < rhs:
-            return FeasibilityVerdict(False, "subset-bound", subset, lhs, rhs)
-    return FeasibilityVerdict(True)
+    den, _, slack = _slack_table(instance.xi.weights, instance.sets, instance.targets)
+    if min(slack) >= 0:
+        return FeasibilityVerdict(True)
+    mask = next(mask for mask in _masks_in_order(m) if slack[mask] < 0)
+    subset = _indices(mask)
+    rhs = sum((instance.targets[i] for i in subset), start=ZERO)
+    return FeasibilityVerdict(False, "subset-bound", subset, rhs + Fraction(slack[mask], den), rhs)
 
 
 def feasibility_by_flow(instance: DecompositionInstance) -> bool:
@@ -165,42 +216,21 @@ def arrangement(instance: DecompositionInstance):
     m = instance.m
     if m > FEASIBILITY_CAP:
         raise TooManySets(f"arrangement capped at m <= {FEASIBILITY_CAP}")
-    cells = _occupied_cells(dict(instance.xi.weights), instance.sets)
     per_k = [0] * (m + 1)
-    for mask in cells:
+    for mask in _cells(instance.xi.weights, instance.sets):
         per_k[bin(mask).count("1")] += 1
     rho = sum(per_k[1:])
     return rho, tuple(per_k[1:])
 
 
-def _occupied_cells(weights: dict, sets) -> dict:
-    """mask -> (cell mass, sorted cell atoms) for nonempty-index occupied cells."""
-    cells: dict[int, list] = {}
-    for a, w in weights.items():
-        mask = 0
-        for i, block in enumerate(sets):
-            if a in block:
-                mask |= 1 << i
-        if mask:
-            entry = cells.setdefault(mask, [ZERO, []])
-            entry[0] += w
-            entry[1].append(a)
-    return {
-        mask: (mass, tuple(sorted(atoms)))
-        for mask, (mass, atoms) in cells.items()
-        if mass > 0
-    }
+def _epsilon_zero(slack, psi: int, p: int):
+    """Least slack over the subsets that meet the cell psi but avoid p, or None.
 
-
-def _slacks(weights: dict, sets, targets):
-    """Slack of every proper nonempty subset, in deterministic order."""
-    m = len(sets)
-    out = []
-    for subset in _subsets_in_order(m, proper_only=True):
-        lhs = _union_mass(weights, sets, subset)
-        rhs = sum((targets[i] for i in subset), start=ZERO)
-        out.append((subset, lhs - rhs))
-    return out
+    These are the only subsets whose bound loses slack when mass leaves psi
+    and target p drops by the same amount; all of them are proper.
+    """
+    bit = 1 << p
+    return min((s for mask, s in enumerate(slack) if mask & psi and not mask & bit), default=None)
 
 
 def epsilon_zero(instance: DecompositionInstance, psi, p: int):
@@ -213,140 +243,107 @@ def epsilon_zero(instance: DecompositionInstance, psi, p: int):
     psi = frozenset(psi)
     if p not in psi:
         raise ValueError("p must belong to psi")
-    weights = dict(instance.xi.weights)
     if any(t <= 0 for t in instance.targets):
         raise CasePreconditionViolated("Case 3 needs strictly positive targets")
-    for subset, slack in _slacks(weights, instance.sets, instance.targets):
-        if slack <= 0:
+    den, _, slack = _slack_table(instance.xi.weights, instance.sets, instance.targets)
+    for mask in _masks_in_order(instance.m)[:-1]:
+        if slack[mask] <= 0:
             raise CasePreconditionViolated(
-                f"Case 3 needs strict inequalities; subset {subset} is tight"
+                f"Case 3 needs strict inequalities; subset {_indices(mask)} is tight"
             )
-    candidates = [
-        slack
-        for subset, slack in _slacks(weights, instance.sets, instance.targets)
-        if psi & set(subset) and p not in subset
-    ]
-    return min(candidates) if candidates else None
+    eps = _epsilon_zero(slack, sum(1 << i for i in psi), p)
+    return None if eps is None else Fraction(eps, den)
 
 
 def decompose(instance: DecompositionInstance) -> DecompositionResult:
-    """Run the inductive construction; exact arithmetic end to end."""
+    """Run the inductive construction; exact arithmetic end to end.
+
+    A task (weights, original indices of its sets, targets, depth) waits on a
+    stack; last in, first out keeps the trace in the pre-order of the case
+    tree.  Base and Case3 add their masses into the component of the original
+    set index, so Case1 and Case2 need no merge.
+    """
     if instance.m > DECOMPOSE_CAP:
         raise TooManySets(f"decompose capped at m <= {DECOMPOSE_CAP}")
     verdict = check_feasibility(instance)
     if not verdict.feasible:
         raise InfeasibleInstance(verdict)
+    sets = instance.sets
+    parts: list = [{} for _ in sets]
     trace: list = []
-    state = {"max_depth": 0}
-    weights = dict(instance.xi.weights)
-    # Cell-removal chains can nest up to the arrangement bound per set count.
-    depth_bound = (2 ** instance.m - 1) * instance.m
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10 * depth_bound + 1000))
-    try:
-        parts = _decompose_rec(weights, instance.sets, instance.targets, 0, trace, state)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    components = tuple(
-        make_measure(instance.xi.space, part.items()) for part in parts
-    )
-    return DecompositionResult(components, tuple(trace), state["max_depth"])
+    max_depth = 0
+    stack = [(dict(instance.xi.weights), tuple(range(instance.m)), instance.targets, 0)]
+    while stack:
+        weights, idx, targets, depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        m = len(idx)
 
+        if m == 1:
+            trace.append(("Base", depth))
+            part = parts[idx[0]]
+            for a, w in weights.items():
+                part[a] = part.get(a, ZERO) + w
+            continue
 
-def _decompose_rec(weights: dict, sets, targets, depth: int, trace: list, state: dict):
-    state["max_depth"] = max(state["max_depth"], depth)
-    m = len(sets)
-
-    if m == 1:
-        trace.append(("Base", depth))
-        return [dict(weights)]
-
-    # Case 2: a zero target contributes an empty component.
-    for k, t in enumerate(targets):
-        if t == 0:
+        # Case 2: a zero target keeps an empty component.
+        if 0 in targets:
+            k = targets.index(0)
             trace.append(("Case2", depth))
-            reduced = _decompose_rec(
-                weights, sets[:k] + sets[k + 1:], targets[:k] + targets[k + 1:],
-                depth + 1, trace, state,
-            )
-            return reduced[:k] + [{}] + reduced[k:]
+            stack.append((weights, idx[:k] + idx[k + 1:], targets[:k] + targets[k + 1:], depth + 1))
+            continue
 
-    # Case 1: a tight proper subset splits the instance in two.
-    tight = None
-    for subset in _subsets_in_order(m, proper_only=True):
-        lhs = _union_mass(weights, sets, subset)
-        rhs = sum((targets[i] for i in subset), start=ZERO)
-        if lhs == rhs:
-            tight = subset
-            break
-    if tight is not None:
-        trace.append(("Case1", depth))
-        inside = set()
-        for i in tight:
-            inside |= sets[i]
-        rest = [j for j in range(m) if j not in tight]
-        w_in = {a: w for a, w in weights.items() if a in inside}
-        w_out = {a: w for a, w in weights.items() if a not in inside}
-        parts_in = _decompose_rec(
-            w_in,
-            tuple(sets[i] for i in tight),
-            tuple(targets[i] for i in tight),
-            depth + 1, trace, state,
-        )
-        parts_out = _decompose_rec(
-            w_out,
-            tuple(sets[j] - inside for j in rest),
-            tuple(targets[j] for j in rest),
-            depth + 1, trace, state,
-        )
-        merged: list = [None] * m
-        for pos, i in enumerate(tight):
-            merged[i] = parts_in[pos]
-        for pos, j in enumerate(rest):
-            merged[j] = parts_out[pos]
-        return merged
+        den, cells, slack = _slack_table(weights, [sets[j] for j in idx], targets)
 
-    # Case 3: strict slack everywhere and positive targets; shave an
-    # epsilon-slice off the lexicographically smallest occupied cell.
-    cells = _occupied_cells(weights, sets)
-    assert cells, "positive targets with matching total mass force an occupied cell"
-    psi_mask = min(cells)
-    cell_mass, cell_atoms = cells[psi_mask]
-    psi = frozenset(i for i in range(m) if psi_mask >> i & 1)
-    p = min(psi)
+        # Case 1: the first tight proper subset splits the instance in two.
+        # Atoms of the inside part are gone from the outside part, so its
+        # sets keep their original atoms without changing any cell.
+        if 0 in slack[1:-1]:
+            tight = next(mask for mask in _masks_in_order(m) if slack[mask] == 0)
+            trace.append(("Case1", depth))
+            members = _indices(tight)
+            rest = tuple(i for i in range(m) if not tight >> i & 1)
+            inside = frozenset().union(*(sets[idx[i]] for i in members))
+            w_in, w_out = {}, {}
+            for a, w in weights.items():
+                (w_in if a in inside else w_out)[a] = w
+            for keep, w in ((rest, w_out), (members, w_in)):  # the inside part runs first
+                stack.append((w, tuple(idx[i] for i in keep), tuple(targets[i] for i in keep), depth + 1))
+            continue
 
-    candidates = [
-        slack
-        for subset, slack in _slacks(weights, sets, targets)
-        if psi & set(subset) and p not in subset
-    ]
-    eps_zero = min(candidates) if candidates else None
-    eps = min(
-        [e for e in (eps_zero, targets[p], cell_mass) if e is not None]
-    )
-    assert eps > 0
-    if eps == eps_zero:
-        label = "Case3.1"
-    elif eps == targets[p]:
-        label = "Case3.2"
-    else:
-        label = "Case3.3"
-    trace.append((label, depth))
+        # Case 3: strict slack everywhere and positive targets; shave an
+        # epsilon-slice off the lexicographically smallest occupied cell.
+        if not cells:
+            raise SolverInvariantError("positive targets with matching total mass force an occupied cell")
+        psi = min(cells)
+        cell_mass, cell_atoms = cells[psi]
+        p = (psi & -psi).bit_length() - 1
+        eps_zero = _epsilon_zero(slack, psi, p)
+        target = targets[p].numerator * (den // targets[p].denominator)
+        eps = min(e for e in (eps_zero, target, cell_mass) if e is not None)
+        if eps <= 0:
+            raise SolverInvariantError(f"Case 3 slice of mass {Fraction(eps, den)} is not positive")
+        if eps == eps_zero:
+            label = "Case3.1"
+        elif eps == target:
+            label = "Case3.2"
+        else:
+            label = "Case3.3"
+        trace.append((label, depth))
 
-    scale = eps / cell_mass
-    slice_weights = {a: weights[a] * scale for a in cell_atoms}
-    reduced_weights = {}
-    for a, w in weights.items():
-        left = w - slice_weights.get(a, ZERO)
-        if left > 0:
-            reduced_weights[a] = left
-    reduced_targets = tuple(
-        t - eps if i == p else t for i, t in enumerate(targets)
-    )
-    parts = _decompose_rec(reduced_weights, sets, reduced_targets, depth + 1, trace, state)
-    for a, w in slice_weights.items():
-        parts[p][a] = parts[p].get(a, ZERO) + w
-    return parts
+        share = Fraction(eps, cell_mass)
+        part = parts[idx[p]]
+        reduced = dict(weights)
+        for a in cell_atoms:
+            piece = weights[a] * share
+            part[a] = part.get(a, ZERO) + piece
+            if weights[a] > piece:
+                reduced[a] = weights[a] - piece
+            else:
+                del reduced[a]
+        reduced_targets = targets[:p] + (targets[p] - Fraction(eps, den),) + targets[p + 1:]
+        stack.append((reduced, idx, reduced_targets, depth + 1))
+    components = tuple(make_measure(instance.xi.space, part.items()) for part in parts)
+    return DecompositionResult(components, tuple(trace), max_depth)
 
 
 def verify_decomposition(instance: DecompositionInstance, result: DecompositionResult) -> VerificationVerdict:

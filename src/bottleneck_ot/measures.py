@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NotProbability, SpaceMismatch, UnknownAtom
+from .errors import NotProbability, SolverInvariantError, SpaceMismatch, UnknownAtom
 from .spaces import FiniteMetricSpace, same_space
 
 ONE = Fraction(1)
@@ -171,7 +171,8 @@ def interval_representation(mu: DiscreteMeasure, order: Sequence[int] | None = N
         hi = lo + mu.weights[atom]
         pieces.append((lo, hi, atom))
         lo = hi
-    assert lo == ONE
+    if lo != ONE:
+        raise SolverInvariantError(f"interval pieces end at {lo}, not at 1")
     return IntervalRepresentation(mu.space, tuple(pieces))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EmptySet, NotInvariant, NotInvariantMeasure
+from .errors import EmptySet, NotInvariant, NotInvariantMeasure, SolverInvariantError
 from .measures import DiscreteMeasure, make_measure, point_mass, pushforward
 from .spaces import FiniteMetricSpace, build_space, hausdorff
 from .transport import w_infinity
@@ -127,7 +127,8 @@ def lift_hausdorff(space: FiniteMetricSpace, U, V) -> float:
         max(dist_to_lift(point_mass(space, u), V) for u in U),
         max(dist_to_lift(point_mass(space, v), U) for v in V),
     )
-    assert abs(base - lifted) <= 1e-12
+    if not abs(base - lifted) <= 1e-12:  # a NaN fails too
+        raise SolverInvariantError(f"base Hausdorff {base} and lifted {lifted} disagree")
     return base
 
 
@@ -331,7 +332,8 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
             maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
             probe = maker(rng, space, mu, delta)
             check = w_infinity(probe, mu).value
-            assert check <= delta + 1e-12, "sampled probe escaped its delta ball"
+            if not check <= delta + 1e-12:
+                raise SolverInvariantError("sampled probe escaped its delta ball")
             record = _orbit_record(
                 system, probe, horizon,
                 lambda m: w_infinity(m, mu).value,
@@ -506,7 +508,8 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         for n in range(horizon + 1):
             h.append(hausdorff(space, A, current) if current != A else 0.0)
             # Identity check along the orbit: base and lifted Hausdorff agree.
-            assert abs(h[-1] - (lift_hausdorff(space, A, current) if current else 0.0)) <= 1e-12
+            if not abs(h[-1] - (lift_hausdorff(space, A, current) if current else 0.0)) <= 1e-12:
+                raise SolverInvariantError("base and lifted Hausdorff distances disagree on the orbit")
             current = system.image_of_set(current)
         record = ProbeRecord(
             label=f"delta{delta:.6g}/neighborhood",

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -335,3 +337,92 @@ def test_too_many_sets_guard():
     inst = DecompositionInstance.build(xi, sets, targets)
     with pytest.raises(TooManySets):
         decompose(inst)
+
+
+# The construction's choices, pinned: the Case1 scan order (by cardinality,
+# then lexicographic) and the Case3 cell (smallest occupied mask, charged to
+# its lowest set) must not drift.  Traces are "label@depth".
+PINNED_M8_TRACE = (
+    "Case3.3@0 Case3.3@1 Case3.3@2 Case3.1@3 Case2@4 Case3.3@5 Case3.3@6 "
+    "Case3.1@7 Case2@8 Case3.3@9 Case3.1@10 Case2@11 Case3.1@12 Case2@13 "
+    "Case3.1@14 Case2@15 Case3.3@16 Case3.1@17 Case2@18 Case3.3@19 "
+    "Case3.1@20 Case2@21 Base@22"
+)
+PINNED_M8_COMPONENTS = [
+    {0: "1/2", 2: "9/4", 8: "23/8"},
+    {1: "105/44", 5: "9/8", 10: "49/44"},
+    {0: "29/8", 4: "65/128", 7: "55/64", 9: "225/128"},
+    {6: "11/4"},
+    {1: "15/11", 3: "1", 4: "247/640", 7: "209/320", 9: "171/128", 10: "7/11"},
+    {11: "1"},
+    {4: "429/640", 7: "363/320", 9: "297/128"},
+    {4: "39/640", 6: "15/4", 7: "33/320", 9: "27/128", 11: "13/2"},
+]
+PINNED_M12_TRACE = (
+    "Case3.3@0 Case3.1@1 Case2@2 Case3.3@3 Case3.3@4 Case3.1@5 Case2@6 "
+    "Case3.1@7 Case2@8 Case3.3@9 Case3.1@10 Case2@11 Case3.3@12 Case3.3@13 "
+    "Case3.1@14 Case2@15 Case3.3@16 Case3.1@17 Case2@18 Case3.3@19 "
+    "Case3.1@20 Case1@21 Base@22 Case3.1@22 Case2@23 Case3.3@24 Case3.1@25 "
+    "Case2@26 Case3.1@27 Case2@28 Case3.1@29 Case2@30 Base@31"
+)
+PINNED_M12_COMPONENTS = [
+    {3: "15/2", 7: "7/8"},
+    {0: "43/8", 5: "1/8", 7: "19/8"},
+    {5: "37/8"},
+    {1: "11/4"},
+    {5: "45/8", 11: "7/2"},
+    {11: "1", 12: "9/8", 13: "69/8"},
+    {10: "13/4", 12: "63/8"},
+    {1: "5/8", 2: "1491/656", 4: "357/164", 6: "33/8", 8: "315/164", 9: "987/656", 10: "5/8"},
+    {6: "17/8"},
+    {2: "2059/656", 4: "493/164", 8: "435/164", 9: "1363/656"},
+    {2: "781/656", 4: "187/164", 8: "165/164", 9: "517/656"},
+    {2: "1491/656", 4: "357/164", 8: "315/164", 9: "987/656"},
+]
+
+
+@pytest.mark.parametrize("seed, n_atoms, m, trace, max_depth, components", [
+    (4242, 12, 8, PINNED_M8_TRACE, 22, PINNED_M8_COMPONENTS),
+    (1212, 14, 12, PINNED_M12_TRACE, 31, PINNED_M12_COMPONENTS),
+], ids=["m8", "m12"])
+def test_construction_choices_are_pinned(seed, n_atoms, m, trace, max_depth, components):
+    inst = random_feasible_instance(random.Random(seed), n_atoms=n_atoms, m=m)
+    result = decompose(inst)
+    assert " ".join(f"{label}@{depth}" for label, depth in result.trace) == trace
+    assert result.max_depth == max_depth
+    assert [{a: str(w) for a, w in nu.items()} for nu in result.components] == components
+    assert verify_decomposition(inst, result).valid
+
+
+def test_decompose_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("decompose must not change the interpreter's recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    inst = random_feasible_instance(random.Random(4242), n_atoms=12, m=8)
+    assert verify_decomposition(inst, decompose(inst)).valid
+
+
+def test_decompose_from_threads_matches_serial_runs():
+    instances = [
+        random_feasible_instance(random.Random(seed), n_atoms=n_atoms, m=m)
+        for seed, n_atoms, m in ((4242, 12, 8), (1212, 14, 12), (77, 10, 10), (5, 9, 6))
+    ]
+    serial = [decompose(inst) for inst in instances]
+    results = [None] * len(instances)
+
+    def run(k):
+        results[k] = decompose(instances[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(instances))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial

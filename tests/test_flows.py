@@ -103,18 +103,70 @@ else:
 """
 
 
-@pytest.mark.parametrize("name, call", [
-    ("min_cost_max_flow", "transport.w_p(mu, nu, 1)"),
-    ("max_flow", "transport.w_infinity(mu, nu)"),
-])
-def test_invariant_checks_survive_python_O(name, call):
-    script = _SHORT_BY_ONE.format(name=name, call=call)
+# A feasibility check that lets through an instance whose mass lies outside
+# every set, so the construction finds no occupied cell to slice.
+_NO_OCCUPIED_CELL = """
+import sys
+assert sys.flags.optimize, "run me under python -O"
+from fractions import Fraction
+from bottleneck_ot import decomposition
+from bottleneck_ot.errors import SolverInvariantError
+from bottleneck_ot.measures import make_measure
+from bottleneck_ot.spaces import build_space
+
+space = build_space(["x", "y", "z"], "euclidean", coords=[[0.0], [1.0], [3.0]])
+xi = make_measure(space, [(0, Fraction(2))])
+instance = decomposition.DecompositionInstance.build(xi, [{1}, {2}], [1, 1])
+decomposition.check_feasibility = lambda instance: decomposition.FeasibilityVerdict(True)
+try:
+    decomposition.decompose(instance)
+except SolverInvariantError as exc:
+    print("raised", exc)
+else:
+    print("not raised")
+"""
+
+# A measure whose stored total mass disagrees with its weights.
+_INTERVALS_SHORT_OF_ONE = """
+import sys
+assert sys.flags.optimize, "run me under python -O"
+from fractions import Fraction
+from bottleneck_ot.errors import SolverInvariantError
+from bottleneck_ot.measures import DiscreteMeasure, interval_representation
+from bottleneck_ot.spaces import build_space
+
+space = build_space(["x", "y"], "euclidean", coords=[[0.0], [1.0]])
+mu = DiscreteMeasure(space, {0: Fraction(1, 2)}, Fraction(1))
+try:
+    interval_representation(mu)
+except SolverInvariantError as exc:
+    print("raised", exc)
+else:
+    print("not raised")
+"""
+
+
+def _run_optimized(script):
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised "), done.stdout
+
+
+@pytest.mark.parametrize("name, call", [
+    ("min_cost_max_flow", "transport.w_p(mu, nu, 1)"),
+    ("max_flow", "transport.w_infinity(mu, nu)"),
+])
+def test_invariant_checks_survive_python_O(name, call):
+    _run_optimized(_SHORT_BY_ONE.format(name=name, call=call))
+
+
+@pytest.mark.parametrize("script", [_NO_OCCUPIED_CELL, _INTERVALS_SHORT_OF_ONE],
+                         ids=["decompose", "interval_representation"])
+def test_decomposition_and_measure_checks_survive_python_O(script):
+    _run_optimized(script)
 
 
 def test_cli_lets_invariant_errors_propagate(tmp_path, monkeypatch):
