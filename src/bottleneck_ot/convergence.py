@@ -70,12 +70,13 @@ def separating_subsets(mu: DiscreteMeasure) -> list:
     if len(supp) > SUPPORT_CAP:
         raise SupportTooLarge(f"support enumeration capped at {SUPPORT_CAP} atoms")
     space = mu.space
+    rows = {a: space.row(a) for a in supp}
     out = []
     for size in range(1, len(supp) + 1):
         for atoms in combinations(supp, size):
             rest = [a for a in supp if a not in atoms]
             if rest:
-                clearance = min(space.d(a, b) for a in atoms for b in rest)
+                clearance = min(rows[a][b] for a in atoms for b in rest)
             else:
                 clearance = space.diameter() or 1.0
             out.append(SeparatingSet(frozenset(atoms), clearance))

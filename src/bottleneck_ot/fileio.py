@@ -49,7 +49,7 @@ def space_to_obj(space: FiniteMetricSpace):
         return {
             "points": list(space.point_ids),
             "metric": "matrix",
-            "matrix": [list(row) for row in space.dist],
+            "matrix": [list(row) for row in space.matrix],
         }
     token = "euclidean" if space.metric_rule == "euclidean" else "torus"
     return {

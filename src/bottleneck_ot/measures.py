@@ -187,7 +187,8 @@ def sup_distance(rep_a: IntervalRepresentation, rep_b: IntervalRepresentation) -
     space = rep_a.space
     best = 0.0
     for a_start, a_end, atom_a in rep_a.pieces:
+        row = space.row(atom_a)
         for b_start, b_end, atom_b in rep_b.pieces:
             if max(a_start, b_start) < min(a_end, b_end):
-                best = max(best, space.d(atom_a, atom_b))
+                best = max(best, row[atom_b])
     return best

@@ -1,14 +1,22 @@
-"""Finite metric spaces: validated distance matrices, neighborhoods, Hausdorff distance.
+"""Finite metric spaces: validated distances, neighborhoods, Hausdorff distance.
 
 A space is a fixed list of labeled points together with an exact symmetric
-distance matrix.  All other modules reference points by their integer index
+distance function.  All other modules reference points by their integer index
 into ``point_ids``; labels only matter at the file-format boundary.
+
+An ``explicit-matrix`` space keeps its validated tuple of rows.  The
+coordinate rules (``euclidean``, ``flat-torus``) keep only the coordinates:
+row i is computed on first use, with the same arithmetic for every entry, and
+memoised as an ``array('d')`` (8 bytes per entry).
 """
 from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptySet, MetricViolation, UnknownAtom
@@ -23,21 +31,28 @@ METRIC_RULES = ("euclidean", "flat-torus", "explicit-matrix")
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Labeled points with an n-by-n distance matrix.
+    """Labeled points with an n-by-n distance function, read row by row.
 
-    Instances are immutable; any operation may share one across threads.
+    ``matrix`` holds the rows of an ``explicit-matrix`` space and is None for
+    the coordinate rules, whose rows are computed from ``coords`` on demand.
+    Instances are immutable apart from those memoised rows; any operation may
+    share one across threads (two threads that race on a row compute the
+    same row).
     """
 
     point_ids: tuple
-    dist: tuple  # tuple of tuples of float
+    matrix: tuple | None  # tuple of tuples of float, explicit-matrix rule only
     metric_rule: str = "explicit-matrix"
     coords: tuple | None = None
     _index: dict = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {pid: i for i, pid in enumerate(self.point_ids)}
         )
+        rows = list(self.matrix) if self.matrix is not None else [None] * self.n_points
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n_points(self) -> int:
@@ -49,53 +64,75 @@ class FiniteMetricSpace:
         except KeyError:
             raise UnknownAtom(f"unknown point id {point_id!r}") from None
 
+    def row(self, i: int):
+        """Distances d(i, j) for every j, as a sequence indexed by j."""
+        row = self._rows[i]
+        if row is None:
+            fn = _RULES[self.metric_rule]
+            c, coords = self.coords[i], self.coords
+            row = array("d", [fn(c, other) for other in coords])
+            self._rows[i] = row
+        return row
+
     def d(self, i: int, j: int) -> float:
-        return self.dist[i][j]
+        return self.row(i)[j]
 
     def check_atom(self, i: int) -> int:
         if not isinstance(i, int) or not 0 <= i < self.n_points:
             raise UnknownAtom(f"atom index {i!r} outside space of {self.n_points} points")
         return i
 
+    @cached_property
+    def _extent(self) -> tuple:
+        """(smallest, largest) pairwise distance, (0.0, 0.0) for one point."""
+        if self.n_points == 1:
+            return 0.0, 0.0
+        gap, diameter = math.inf, -math.inf
+        for i in range(self.n_points - 1):
+            upper = self.row(i)[i + 1:]
+            gap, diameter = min(gap, min(upper)), max(diameter, max(upper))
+        return gap, diameter
+
     def diameter(self) -> float:
-        n = self.n_points
-        return max((self.dist[i][j] for i in range(n) for j in range(i + 1, n)), default=0.0)
+        """Largest pairwise distance, computed once per space."""
+        return self._extent[1]
 
     def min_positive_gap(self) -> float:
-        """Smallest nonzero pairwise distance; the resolution of the space."""
-        n = self.n_points
-        gaps = [self.dist[i][j] for i in range(n) for j in range(i + 1, n)]
-        return min(gaps) if gaps else 0.0
+        """Smallest nonzero pairwise distance; the resolution of the space.
+        Computed once per space."""
+        return self._extent[0]
 
     def set_distance(self, i: int, atoms: Iterable[int]) -> float:
         """d(x, A) = min over a in A of d(x, a)."""
         atoms = list(atoms)
         if not atoms:
             raise EmptySet("set distance to an empty set")
-        return min(self.dist[i][a] for a in atoms)
+        row = self.row(i)
+        # One C-level gather; itemgetter returns a bare value for one atom.
+        return min(itemgetter(*atoms)(row)) if len(atoms) > 1 else row[atoms[0]]
+
+    def distances_to(self, atoms: Iterable[int]) -> list:
+        """d(x, A) for every point x, as a list indexed by x: the elementwise
+        minimum of the rows of the atoms of A (the distances are symmetric)."""
+        rows = [self.row(a) for a in atoms]
+        if not rows:
+            raise EmptySet("distances to an empty set")
+        return list(map(min, *rows)) if len(rows) > 1 else list(rows[0])
 
     def neighborhood(self, atoms: Iterable[int], eps: float, closed: bool = False) -> frozenset:
         """Points within distance eps of the set (strict by default, per the open
         epsilon-neighborhood convention)."""
-        atoms = frozenset(atoms)
-        if not atoms:
-            raise EmptySet("neighborhood of an empty set")
+        to_set = self.distances_to(atoms)
         if closed:
-            return frozenset(
-                x for x in range(self.n_points)
-                if min(self.dist[x][a] for a in atoms) <= eps
-            )
-        return frozenset(
-            x for x in range(self.n_points)
-            if min(self.dist[x][a] for a in atoms) < eps
-        )
+            return frozenset(x for x, d in enumerate(to_set) if d <= eps)
+        return frozenset(x for x, d in enumerate(to_set) if d < eps)
 
     def distance_csv(self) -> str:
         """Distance matrix as CSV with a label header row/column."""
         buf = io.StringIO()
         buf.write("," + ",".join(str(p) for p in self.point_ids) + "\n")
         for i, pid in enumerate(self.point_ids):
-            row = ",".join(f"{self.dist[i][j]:.12g}" for j in range(self.n_points))
+            row = ",".join(f"{d:.12g}" for d in self.row(i))
             buf.write(f"{pid},{row}\n")
         return buf.getvalue()
 
@@ -111,6 +148,9 @@ def _flat_torus(a: Sequence[float], b: Sequence[float]) -> float:
         t = abs(x - y) % 1.0
         acc.append(min(t, 1.0 - t) ** 2)
     return math.sqrt(math.fsum(acc))
+
+
+_RULES = {"euclidean": _euclidean, "flat-torus": _flat_torus}
 
 
 def _validate_matrix(dist, n: int) -> None:
@@ -133,13 +173,45 @@ def _validate_matrix(dist, n: int) -> None:
                     )
 
 
+def _validate_rows(space: FiniteMetricSpace) -> None:
+    """Off-diagonal positivity and finiteness of a coordinate space, O(n^2).
+
+    The coordinate rules give a zero diagonal, exact symmetry and the triangle
+    inequality by construction; this fills the row memo.
+    """
+    for i in range(space.n_points):
+        try:
+            row = space.row(i)
+        except OverflowError:
+            raise MetricViolation(f"distance overflow in row {i}") from None
+        for j, d in enumerate(row):
+            if not 0.0 < d < math.inf and i != j:
+                what = "non-positive off-diagonal" if d <= 0.0 else "distance overflow"
+                raise MetricViolation(f"{what} at ({i}, {j})")
+
+
+def _coordinate_vectors(coords, n: int) -> tuple:
+    """Coordinates as float tuples: one per point, all of one length, finite."""
+    vectors = tuple(tuple(float(c) for c in vec) for vec in coords)
+    if len(vectors) != n:
+        raise MetricViolation("coordinate count does not match the point count")
+    if len({len(vec) for vec in vectors}) > 1:
+        raise MetricViolation("coordinate vectors differ in length")
+    if not all(math.isfinite(c) for vec in vectors for c in vec):
+        raise MetricViolation("non-finite coordinate")
+    return vectors
+
+
 def build_space(points, metric_rule: str = "euclidean", *, coords=None, matrix=None,
                 validate: bool = True) -> FiniteMetricSpace:
     """Build a validated space from coordinates or an explicit matrix.
 
     ``points`` is a sequence of distinct hashable labels.  For the coordinate
-    rules, ``coords`` gives one real vector per point; ``flat-torus`` wraps
-    each coordinate modulo 1 before taking the Euclidean norm.
+    rules, ``coords`` gives one finite real vector per point, all of the same
+    length; ``flat-torus`` wraps each coordinate modulo 1 before taking the
+    Euclidean norm.  Validation checks symmetry, positivity and the triangle
+    inequality of an explicit matrix (O(n^3)); a coordinate space is a metric
+    by construction, so only its off-diagonal positivity is checked (O(n^2)).
     """
     points = tuple(points)
     if not points:
@@ -156,25 +228,27 @@ def build_space(points, metric_rule: str = "euclidean", *, coords=None, matrix=N
         dist = tuple(tuple(float(v) for v in row) for row in matrix)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise MetricViolation("matrix shape does not match the point count")
-        kept_coords = None
-    else:
-        if coords is None:
-            raise MetricViolation(f"{metric_rule} rule requires coordinates")
-        kept_coords = tuple(tuple(float(c) for c in vec) for vec in coords)
-        if len(kept_coords) != n:
-            raise MetricViolation("coordinate count does not match the point count")
-        fn = _euclidean if metric_rule == "euclidean" else _flat_torus
-        dist = tuple(
-            tuple(fn(kept_coords[i], kept_coords[j]) for j in range(n)) for i in range(n)
-        )
+        if validate:
+            _validate_matrix(dist, n)
+        return FiniteMetricSpace(points, dist, metric_rule)
 
+    if coords is None:
+        raise MetricViolation(f"{metric_rule} rule requires coordinates")
+    space = FiniteMetricSpace(points, None, metric_rule, _coordinate_vectors(coords, n))
     if validate:
-        _validate_matrix(dist, n)
-    return FiniteMetricSpace(points, dist, metric_rule, kept_coords)
+        _validate_rows(space)
+    return space
 
 
 def same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> bool:
-    return a is b or (a.point_ids == b.point_ids and a.dist == b.dist)
+    """Same labels and the same distance between every pair of points."""
+    if a is b:
+        return True
+    if a.point_ids != b.point_ids:
+        return False
+    if (a.metric_rule, a.coords, a.matrix) == (b.metric_rule, b.coords, b.matrix):
+        return True
+    return all(list(a.row(i)) == list(b.row(i)) for i in range(a.n_points))
 
 
 def directed_distance(space: FiniteMetricSpace, A: Iterable[int], B: Iterable[int]) -> float:

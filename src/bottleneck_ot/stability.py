@@ -30,10 +30,14 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class MapSystem:
-    """A total map on a finite space, with cached iterates."""
+    """A total map on a finite space, with iterates memoised per instance."""
 
     space: FiniteMetricSpace
     mapping: tuple  # mapping[i] is the image atom of atom i
+    _iterates: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_iterates", {1: self.mapping})
 
     @classmethod
     def build(cls, space: FiniteMetricSpace, mapping) -> "MapSystem":
@@ -48,9 +52,21 @@ class MapSystem:
         return cls(space, table)
 
     def iterate(self, n: int) -> tuple:
+        """The table of f^n, by repeated squaring; threads that race on an
+        iterate compute the same table."""
         if n < 0:
             raise ValueError("iterates are defined for n >= 0")
-        return _iterate_table(self.mapping, n)
+        table = self._iterates.get(n)
+        if table is None:
+            if n == 0:
+                table = tuple(range(len(self.mapping)))
+            else:
+                half = self.iterate(n // 2)
+                table = tuple(half[v] for v in half)
+                if n % 2:
+                    table = tuple(self.mapping[v] for v in table)
+            self._iterates[n] = table
+        return table
 
     def apply_point(self, atom: int, n: int = 1) -> int:
         return self.iterate(n)[atom]
@@ -60,7 +76,7 @@ class MapSystem:
         return frozenset(table[a] for a in atoms)
 
     def push(self, mu: DiscreteMeasure, n: int = 1) -> DiscreteMeasure:
-        return pushforward(mu, self.iterate(n))
+        return pushforward(mu, self.iterate(n).__getitem__)
 
     def is_invariant_set(self, atoms) -> bool:
         atoms = frozenset(atoms)
@@ -68,19 +84,6 @@ class MapSystem:
 
     def is_fixed_measure(self, mu: DiscreteMeasure) -> bool:
         return self.push(mu) == mu
-
-
-@lru_cache(maxsize=4096)
-def _iterate_table(mapping: tuple, n: int) -> tuple:
-    if n == 0:
-        return tuple(range(len(mapping)))
-    if n == 1:
-        return mapping
-    half = _iterate_table(mapping, n // 2)
-    squared = tuple(half[v] for v in half)
-    if n % 2:
-        return tuple(mapping[v] for v in squared)
-    return squared
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,13 @@ def dist_to_lift(mu: DiscreteMeasure, atoms) -> float:
         raise EmptySet("distance to the lift of an empty set")
     space = mu.space
     return max(space.set_distance(a, atoms) for a in mu.support())
+
+
+def _lift_distance(space: FiniteMetricSpace, atoms):
+    """``dist_to_lift(m, atoms)`` as a function of m, reading d(x, atoms) from
+    one vector computed up front instead of from rows at every call."""
+    to_set = space.distances_to(atoms)
+    return lambda m: max(to_set[a] for a in m.weights)
 
 
 def lift_hausdorff(space: FiniteMetricSpace, U, V) -> float:
@@ -217,6 +227,7 @@ def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
     if not system.is_invariant_set(A):
         raise NotInvariant("probe target must satisfy f(A) within A")
     space = system.space
+    to_lift = _lift_distance(space, A)
     records = []
     cell_worst: dict[float, ProbeRecord] = {}
     for d_idx, delta in enumerate(sorted(delta_grid)):
@@ -233,10 +244,7 @@ def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
                  _sample_lift_probe(rng, space, candidates))
             )
         for label, child_seed, probe in probes:
-            record = _orbit_record(
-                system, probe, horizon,
-                lambda m: dist_to_lift(m, A), label, child_seed,
-            )
+            record = _orbit_record(system, probe, horizon, to_lift, label, child_seed)
             records.append(record)
             worst = cell_worst.get(delta)
             if worst is None or record.sup_distance > worst.sup_distance:
@@ -388,12 +396,11 @@ def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
         probe_list.append(
             (f"sample{k}", child_seed, _sample_lift_probe(rng, space, candidates))
         )
+    to_lift = _lift_distance(space, A)
     records = []
     witness = None
     for label, child_seed, probe in probe_list:
-        record = _orbit_record(
-            system, probe, horizon, lambda m: dist_to_lift(m, A), label, child_seed,
-        )
+        record = _orbit_record(system, probe, horizon, to_lift, label, child_seed)
         records.append(record)
         if min(record.distances) > tol and witness is None:
             witness = record
@@ -442,7 +449,7 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
         point = min(system.image_of_set(U, n_max) - U, default=min(U))
         witness = _orbit_record(
             system, point_mass(space, point), n_max,
-            lambda m: dist_to_lift(m, A), f"escape/point{point}", None,
+            _lift_distance(space, A), f"escape/point{point}", None,
         )
         verdict = UNSTABLE
         notes.append(f"no n <= {n_max} with f^n(U) inside U")
@@ -450,7 +457,7 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
         stray = min(intersection ^ A)
         witness = _orbit_record(
             system, point_mass(space, stray), n_max,
-            lambda m: dist_to_lift(m, A), f"intersection/point{stray}", None,
+            _lift_distance(space, A), f"intersection/point{stray}", None,
         )
         verdict = UNSTABLE
         notes.append("forward intersection of the neighborhood differs from the set")

@@ -88,8 +88,8 @@ class _Bipartite:
         )
         self.total = sum(self.supply)
         self.sink = 1 + len(self.sources) + len(self.targets)
-        dist = mu.space.dist
-        self.table = [[dist[a][b] for b in self.targets] for a in self.sources]
+        rows = map(mu.space.row, self.sources)
+        self.table = [[row[b] for b in self.targets] for row in rows]
 
     def edges(self, pairs, costs=None):
         """Supply edges, an uncapacitated edge per (i, j) pair, demand edges.

@@ -87,6 +87,24 @@ def test_missing_weights_exits_2(capsys, tmp_path):
     assert main(["dist", bad, bad]) == 2
 
 
+@pytest.mark.parametrize("metric, coords", [
+    ("euclidean", [[1e200], [-1e200]]),  # the squared difference overflows
+    ("euclidean", [[1.7e308], [-1.7e308]]),  # the difference overflows to inf
+    ("torus", [[1.7e308], [-1.7e308]]),
+    ("euclidean", [[0.0, 5.0], [1.0]]),  # ragged: zip would truncate to d = 1
+    ("euclidean", [[0.0], [float("nan")]]),
+    ("torus", [[0.0], [float("inf")]]),
+])
+def test_dist_hostile_coordinates_exit_2(capsys, tmp_path, metric, coords):
+    path = write(tmp_path / "hostile.json", {
+        "space": {"points": ["x", "y"], "metric": metric, "coords": coords},
+        "weights": [{"atom": "x", "num": 1, "den": 1}],
+    })
+    code, out = run(capsys, ["dist", path, path])
+    assert code == 2
+    assert out == ""
+
+
 def test_space_mismatch_exits_3(capsys, delta_x, tmp_path):
     other = write(tmp_path / "other.json", {
         "space": {"points": ["x", "y"], "metric": "euclidean",

@@ -1,10 +1,16 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from bottleneck_ot.errors import EmptySet, MetricViolation
-from bottleneck_ot.spaces import build_space, hausdorff
+from bottleneck_ot.fileio import parse_space, space_to_obj
+from bottleneck_ot.measures import make_measure
+from bottleneck_ot.spaces import _euclidean, _flat_torus, build_space, hausdorff, same_space
+from bottleneck_ot.stability import _torus_scenario_cached, scenario_torus_shear
+from bottleneck_ot.transport import w_infinity
 
 from conftest import random_space
 
@@ -82,3 +88,148 @@ def test_distance_csv_round_shape():
     assert lines[0] == ",x0,x1,x2"
     assert len(lines) == 4
     assert lines[1].startswith("x0,0,")
+
+
+def _pairwise(space):
+    """The reference: every entry from the pairwise rule, as the dense matrix
+    was built before rows were computed on demand."""
+    fn = _euclidean if space.metric_rule == "euclidean" else _flat_torus
+    return [[fn(a, b) for b in space.coords] for a in space.coords]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("rule", ["euclidean", "flat-torus"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rows_are_bit_identical_to_the_pairwise_rule(rule, dim):
+    rng = random.Random(31 * dim + len(rule))
+    for trial in range(3):
+        n = rng.randint(2, 24)
+        scale = rng.choice([1.0, 7.5, 1e-3])
+        coords = [[rng.uniform(-scale, scale) for _ in range(dim)] for _ in range(n)]
+        space = build_space([f"p{i}" for i in range(n)], rule, coords=coords,
+                            validate=bool(trial % 2))
+        reference = _pairwise(space)
+        for i in range(n):
+            assert _bits(space.row(i)) == _bits(reference[i])
+            assert space.row(i) is space.row(i)  # memoised, not recomputed
+            assert all(space.d(i, j) == reference[i][j] for j in range(n))
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_torus_scenario_rows_are_bit_identical_to_the_pairwise_rule(n):
+    space = scenario_torus_shear(n).system.space
+    assert space.matrix is None
+    coords = space.coords
+    rng = random.Random(n)
+    for i in [0, n - 1, n * n - 1] + rng.sample(range(n * n), 5):
+        assert _bits(space.row(i)) == _bits(_flat_torus(coords[i], c) for c in coords)
+
+
+def test_gap_and_diameter_equal_the_all_pairs_formula():
+    rng = random.Random(5)
+    spaces = [
+        build_space([f"p{i}" for i in range(n)], rule,
+                    coords=[[rng.random() for _ in range(dim)] for _ in range(n)])
+        for n, rule, dim in ((2, "euclidean", 1), (9, "euclidean", 3), (17, "flat-torus", 2))
+    ]
+    spaces.append(build_space(["a", "b", "c"], "explicit-matrix",
+                              matrix=[[0, 2, 3], [2, 0, 4], [3, 4, 0]]))
+    for space in spaces:
+        n = space.n_points
+        upper = [space.d(i, j) for i in range(n) for j in range(i + 1, n)]
+        if space.coords is not None:
+            assert upper == [e for i, row in enumerate(_pairwise(space)) for e in row[i + 1:]]
+        assert space.min_positive_gap() == min(upper)
+        assert space.diameter() == max(upper)
+        assert space.min_positive_gap() == min(upper)  # the memoised value
+    single = build_space(["only"], "euclidean", coords=[[0.5]])
+    assert single.min_positive_gap() == 0.0 and single.diameter() == 0.0
+
+
+def test_distances_to_is_the_minimum_over_the_set():
+    rng = random.Random(8)
+    space = build_space([f"p{i}" for i in range(12)], "flat-torus",
+                        coords=[[rng.random(), rng.random()] for _ in range(12)])
+    for size in (1, 2, 5):
+        atoms = rng.sample(range(12), size)
+        to_set = space.distances_to(atoms)
+        assert to_set == [space.set_distance(x, atoms) for x in range(12)]
+        assert space.neighborhood(atoms, 0.3) == {x for x in range(12) if to_set[x] < 0.3}
+        assert space.neighborhood(atoms, to_set[0], closed=True) >= {0}
+    with pytest.raises(EmptySet):
+        space.distances_to([])
+
+
+def test_same_space_truth_table():
+    ids = ["a", "b", "c"]
+    coords = [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]
+    space = build_space(ids, "euclidean", coords=coords)
+    assert same_space(space, space)
+    assert same_space(space, parse_space(space_to_obj(space)))
+    matrix = [[space.d(i, j) for j in range(3)] for i in range(3)]
+    copy = build_space(ids, "explicit-matrix", matrix=matrix)
+    assert same_space(space, copy) and same_space(copy, space)
+    # Equal labels, other coordinates: equal only when every distance is.
+    moved = build_space(ids, "euclidean", coords=[[x + 1.0, y] for x, y in coords])
+    assert moved.coords != space.coords
+    assert same_space(space, moved)
+    assert not same_space(space, build_space(ids, "euclidean", coords=[[0.0, 0.0], [3.0, 0.0], [0.0, 5.0]]))
+    assert not same_space(space, build_space(["a", "b", "d"], "euclidean", coords=coords))
+    torus = build_space(ids, "flat-torus", coords=[[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]])
+    assert not same_space(space, torus)
+
+
+def test_coordinate_vectors_are_checked_when_the_space_is_built():
+    with pytest.raises(MetricViolation, match="length"):
+        build_space(["a", "b"], "euclidean", coords=[[0.0, 5.0], [1.0]])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(MetricViolation, match="non-finite"):
+            build_space(["a", "b"], "flat-torus", coords=[[0.0], [bad]], validate=False)
+    with pytest.raises(MetricViolation, match="overflow"):
+        build_space(["a", "b"], "euclidean", coords=[[1e200], [-1e200]])
+    with pytest.raises(MetricViolation, match="overflow"):
+        build_space(["a", "b"], "euclidean", coords=[[1.7e308], [-1.7e308]])
+    with pytest.raises(MetricViolation, match="overflow"):
+        build_space(["a", "b"], "flat-torus", coords=[[1.7e308], [-1.7e308]])
+    with pytest.raises(MetricViolation, match="non-positive"):
+        build_space(["a", "b", "c"], "euclidean", coords=[[0.0], [1.0], [0.0]])
+
+
+def test_neighborhoods_and_solves_from_threads_match_serial_runs():
+    n = 16
+
+    def work(scenario, row):
+        space = scenario.system.space
+        atoms = scenario.row_atoms(row)
+        hoods = [sorted(space.neighborhood(atoms, k / n, closed=bool(k % 2))) for k in (1, 2, 3)]
+        mu = scenario.uniform_row(row)
+        nu = make_measure(space, [(scenario.atom(i + row, row + 1), w)
+                                  for i, (_, w) in enumerate(sorted(mu.weights.items()))])
+        report = w_infinity(scenario.lopsided_row(row), nu)
+        return hoods, report.value, report.plan.entries
+
+    _torus_scenario_cached.cache_clear()
+    serial = [work(scenario_torus_shear(n), row) for row in range(4)]
+    _torus_scenario_cached.cache_clear()
+    shared = scenario_torus_shear(n)
+    assert all(row is None for row in shared.system.space._rows)
+    results = [None] * 4
+
+    def run(k):
+        results[k] = work(shared, k)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial

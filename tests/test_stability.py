@@ -152,6 +152,24 @@ def test_map_system_iterates():
     assert system.push(mu, 3) == mu
 
 
+def test_map_system_iterates_match_repeated_application():
+    rng = random.Random(12)
+    space = random_space(rng, 30, dim=1)
+    system = MapSystem.build(space, [rng.randrange(30) for _ in range(30)])
+    other = MapSystem.build(space, system.mapping)
+    table = tuple(range(30))
+    for n in range(41):
+        assert system.iterate(n) == table, n
+        table = tuple(system.mapping[v] for v in table)
+    assert system.iterate(1) is system.mapping
+    assert system.iterate(37) is system.iterate(37)  # memoised on the instance
+    assert other.iterate(5) is not system.iterate(5)  # not shared between instances
+    mu = random_probability_measure(rng, space, max_atoms=5)
+    for n in (0, 1, 6):
+        pushed = make_measure(space, [(system.iterate(n)[a], w) for a, w in mu.weights.items()])
+        assert system.push(mu, n) == pushed
+
+
 def test_identity_map_is_lyapunov_stable_everywhere():
     rng = random.Random(1)
     space = random_space(rng, 6)
