@@ -117,7 +117,7 @@ def cmd_decompose(args) -> int:
     if not verdict.feasible:
         sys.stdout.write(f"infeasible {verdict}\n")
         return EXIT_INFEASIBLE
-    result = decompose(instance)
+    result = decompose(instance, verdict=verdict)
     check = verify_decomposition(instance, result)
     payload = fileio.decomposition_to_obj(instance, result, check)
     if args.format == "json":

@@ -255,8 +255,12 @@ def epsilon_zero(instance: DecompositionInstance, psi, p: int):
     return None if eps is None else Fraction(eps, den)
 
 
-def decompose(instance: DecompositionInstance) -> DecompositionResult:
+def decompose(instance: DecompositionInstance, *,
+              verdict: FeasibilityVerdict | None = None) -> DecompositionResult:
     """Run the inductive construction; exact arithmetic end to end.
+
+    ``verdict`` is ``check_feasibility(instance)`` when the caller has
+    already computed it; without it the check runs here.
 
     A task (weights, original indices of its sets, targets, depth) waits on a
     stack; last in, first out keeps the trace in the pre-order of the case
@@ -265,7 +269,8 @@ def decompose(instance: DecompositionInstance) -> DecompositionResult:
     """
     if instance.m > DECOMPOSE_CAP:
         raise TooManySets(f"decompose capped at m <= {DECOMPOSE_CAP}")
-    verdict = check_feasibility(instance)
+    if verdict is None:
+        verdict = check_feasibility(instance)
     if not verdict.feasible:
         raise InfeasibleInstance(verdict)
     sets = instance.sets

@@ -7,9 +7,9 @@ which makes the support exactly the stored key set.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import NotProbability, SolverInvariantError, SpaceMismatch, UnknownAtom
 from .spaces import FiniteMetricSpace, same_space
@@ -84,16 +84,27 @@ def make_measure(space: FiniteMetricSpace, atom_weight_pairs) -> DiscreteMeasure
     """
     if isinstance(atom_weight_pairs, Mapping):
         atom_weight_pairs = atom_weight_pairs.items()
+    check = space.check_atom
+    return _merge(space, ((check(atom), weight) for atom, weight in atom_weight_pairs))
+
+
+def _merge(space: FiniteMetricSpace, pairs) -> DiscreteMeasure:
+    """The measure of (checked atom, weight) pairs: weights as Fractions,
+    negative ones rejected, duplicates summed, zeros dropped, atoms ascending,
+    and the total summed from the weights."""
     acc: dict[int, Fraction] = {}
-    for atom, weight in atom_weight_pairs:
-        space.check_atom(atom)
-        w = as_fraction(weight)
-        if w < 0:
+    for atom, weight in pairs:
+        # A Fraction is immutable and canonical: keep it rather than copy it.
+        w = weight if type(weight) is Fraction else Fraction(weight)
+        if w.numerator < 0:
             raise ValueError(f"negative weight {w} at atom {atom}")
-        acc[atom] = acc.get(atom, ZERO) + w
-    weights = {a: w for a, w in sorted(acc.items()) if w > 0}
-    total = sum(weights.values(), start=ZERO)
-    return DiscreteMeasure(space, weights, total)
+        prev = acc.get(atom)
+        acc[atom] = w if prev is None else prev + w
+    if len(acc) == 1:
+        ((atom, w),) = acc.items()
+        return DiscreteMeasure(space, {atom: w} if w.numerator else {}, w)
+    weights = {a: acc[a] for a in sorted(acc) if acc[a].numerator}
+    return DiscreteMeasure(space, weights, sum(weights.values(), start=ZERO))
 
 
 def point_mass(space: FiniteMetricSpace, atom: int) -> DiscreteMeasure:
@@ -116,14 +127,17 @@ def pushforward(mu: DiscreteMeasure, point_map) -> DiscreteMeasure:
         fn = point_map.__getitem__
     else:
         fn = list(point_map).__getitem__
+    # Every image is checked before any weight, so an undefined image is
+    # reported ahead of a bad weight of a hand-built measure.
+    check = mu.space.check_atom
     pairs = []
     for atom, w in mu.weights.items():
         try:
             image = fn(atom)
         except (KeyError, IndexError):
             raise UnknownAtom(f"point map undefined at atom {atom}") from None
-        pairs.append((mu.space.check_atom(image), w))
-    return make_measure(mu.space, pairs)
+        pairs.append((check(image), w))
+    return _merge(mu.space, pairs)
 
 
 @dataclass(frozen=True)

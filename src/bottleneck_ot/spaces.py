@@ -6,8 +6,8 @@ into ``point_ids``; labels only matter at the file-format boundary.
 
 An ``explicit-matrix`` space keeps its validated tuple of rows.  The
 coordinate rules (``euclidean``, ``flat-torus``) keep only the coordinates:
-row i is computed on first use, with the same arithmetic for every entry, and
-memoised as an ``array('d')`` (8 bytes per entry).
+row i is computed on first use, column by column with entries bit-identical
+to the pairwise rule, and memoised as an ``array('d')`` (8 bytes per entry).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptySet, MetricViolation, UnknownAtom
@@ -68,11 +68,53 @@ class FiniteMetricSpace:
         """Distances d(i, j) for every j, as a sequence indexed by j."""
         row = self._rows[i]
         if row is None:
-            fn = _RULES[self.metric_rule]
-            c, coords = self.coords[i], self.coords
-            row = array("d", [fn(c, other) for other in coords])
+            row = self._coordinate_row(i)
             self._rows[i] = row
         return row
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Per coordinate dimension: (sorted distinct values, each point's
+        index into them)."""
+        columns = []
+        for column in zip(*self.coords):
+            values = sorted(set(column))
+            position = {v: k for k, v in enumerate(values)}
+            columns.append((values, [position[v] for v in column]))
+        return tuple(columns)
+
+    def _coordinate_row(self, i: int) -> array:
+        """Row i of a coordinate space, column by column.
+
+        Each entry is bit-identical to ``_euclidean``/``_flat_torus`` of the
+        two coordinate vectors: the per-dimension square is the same
+        expression, computed once per distinct value of the column and
+        gathered for every j; the squares are summed by ``math.fsum`` for
+        d >= 3.  For d <= 2 the correctly rounded ``a + b`` equals the fsum,
+        except that fsum raises ``OverflowError`` where two finite squares
+        overflow, which is reproduced here; an infinite square (from an
+        infinite difference) gives inf in both.
+        """
+        wrap = self.metric_rule == "flat-torus"
+        gathered = []
+        for c, (values, position) in zip(self.coords[i], self._columns):
+            if wrap:
+                squares = [min(t, 1.0 - t) ** 2 for t in [abs(c - v) % 1.0 for v in values]]
+            else:
+                squares = [(c - v) ** 2 for v in values]
+            gathered.append([squares[k] for k in position])
+        if len(gathered) == 1:
+            sums = gathered[0]
+        elif len(gathered) == 2:
+            sums = list(map(add, *gathered))
+            if math.inf in sums and any(s == math.inf and math.inf not in (a, b)
+                                        for s, a, b in zip(sums, *gathered)):
+                raise OverflowError("intermediate overflow in fsum")
+        elif gathered:
+            sums = list(map(math.fsum, zip(*gathered)))
+        else:  # zero-dimensional coordinates: every distance is fsum(()) = 0.0
+            sums = [0.0] * self.n_points
+        return array("d", map(math.sqrt, sums))
 
     def d(self, i: int, j: int) -> float:
         return self.row(i)[j]
@@ -137,6 +179,8 @@ class FiniteMetricSpace:
         return buf.getvalue()
 
 
+# The pairwise rules: the definition that ``_coordinate_row`` reproduces bit
+# for bit, and the reference the tests compare rows against.
 def _euclidean(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b)))
 
@@ -148,9 +192,6 @@ def _flat_torus(a: Sequence[float], b: Sequence[float]) -> float:
         t = abs(x - y) % 1.0
         acc.append(min(t, 1.0 - t) ** 2)
     return math.sqrt(math.fsum(acc))
-
-
-_RULES = {"euclidean": _euclidean, "flat-torus": _flat_torus}
 
 
 def _validate_matrix(dist, n: int) -> None:

@@ -94,6 +94,7 @@ def test_missing_weights_exits_2(capsys, tmp_path):
     ("euclidean", [[0.0, 5.0], [1.0]]),  # ragged: zip would truncate to d = 1
     ("euclidean", [[0.0], [float("nan")]]),
     ("torus", [[0.0], [float("inf")]]),
+    ("euclidean", [[1.2e154, 1.2e154], [0.0, 0.0]]),  # two finite squares overflow their sum
 ])
 def test_dist_hostile_coordinates_exit_2(capsys, tmp_path, metric, coords):
     path = write(tmp_path / "hostile.json", {
@@ -150,6 +151,30 @@ def test_decompose_valid_and_infeasible(capsys, tmp_path):
     code, out = run(capsys, ["decompose", bad])
     assert code == 4
     assert "infeasible" in out and "subset-bound" in out
+
+
+def test_decompose_checks_feasibility_once(capsys, tmp_path, monkeypatch):
+    from bottleneck_ot import cli, decomposition
+
+    calls, check = [], decomposition.check_feasibility
+
+    def counted(instance):
+        calls.append(instance)
+        return check(instance)
+
+    monkeypatch.setattr(cli, "check_feasibility", counted)
+    monkeypatch.setattr(decomposition, "check_feasibility",
+                        lambda instance: pytest.fail("feasibility checked again"))
+    space = {"points": ["a", "b"], "metric": "euclidean", "coords": [[0.0], [1.0]]}
+    inst = write(tmp_path / "two.json", {
+        "xi": {"space": space, "weights": [{"atom": "a", "num": 1, "den": 2},
+                                           {"atom": "b", "num": 1, "den": 2}]},
+        "sets": [["a", "b"], ["b"]],
+        "targets": [{"num": 1, "den": 2}, {"num": 1, "den": 2}],
+    })
+    code, out = run(capsys, ["decompose", inst])
+    assert code == 0 and "verification Valid" in out
+    assert len(calls) == 1
 
 
 def test_decompose_base_case_trace(capsys, tmp_path):

@@ -104,6 +104,22 @@ def test_single_set_violation_witnessed():
         decompose(inst)
 
 
+def test_decompose_takes_a_computed_verdict():
+    rng = random.Random(23)
+    for _ in range(10):
+        inst = random_feasible_instance(rng, n_atoms=6, m=3)
+        verdict = check_feasibility(inst)
+        given = decompose(inst, verdict=verdict)
+        computed = decompose(inst)
+        assert (given.trace, given.components) == (computed.trace, computed.components)
+        bad = perturb_infeasible(rng, inst)
+        if bad is not None:
+            bad_verdict = check_feasibility(bad)
+            with pytest.raises(InfeasibleInstance) as caught:
+                decompose(bad, verdict=bad_verdict)
+            assert caught.value.verdict is bad_verdict
+
+
 def test_total_mass_violation_witnessed():
     space = grid_space(2)
     xi = make_measure(space, [(0, 1)])

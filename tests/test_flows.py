@@ -145,6 +145,49 @@ else:
     print("not raised")
 """
 
+# Negative weights, from a caller or in a hand-built measure that is pushed.
+_NEGATIVE_WEIGHT = """
+import sys
+assert sys.flags.optimize, "run me under python -O"
+from fractions import Fraction
+from bottleneck_ot.measures import DiscreteMeasure, make_measure, pushforward
+from bottleneck_ot.spaces import build_space
+
+space = build_space(["x", "y"], "euclidean", coords=[[0.0], [1.0]])
+hand_built = DiscreteMeasure(space, {0: Fraction(1, 2), 1: Fraction(-1, 2)}, Fraction(0))
+calls = [lambda: make_measure(space, [(0, Fraction(3, 2)), (1, Fraction(-1, 2))]),
+         lambda: make_measure(space, {1: -1}),
+         lambda: pushforward(hand_built, [1, 0])]
+messages = []
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        messages.append(str(exc))
+print("raised " + "; ".join(messages) if len(messages) == len(calls) else "not raised")
+"""
+
+# Images outside the space, and maps undefined at a support atom.
+_UNKNOWN_IMAGE = """
+import sys
+assert sys.flags.optimize, "run me under python -O"
+from fractions import Fraction
+from bottleneck_ot.errors import UnknownAtom
+from bottleneck_ot.measures import make_measure, pushforward
+from bottleneck_ot.spaces import build_space
+
+space = build_space(["x", "y"], "euclidean", coords=[[0.0], [1.0]])
+mu = make_measure(space, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+maps = [[0, 2], [0, -1], [0, 1.0], [0], {0: 1}, {0: 0}.__getitem__, {0: 0}.get]
+messages = []
+for point_map in maps:
+    try:
+        pushforward(mu, point_map)
+    except UnknownAtom as exc:
+        messages.append(str(exc))
+print("raised " + "; ".join(messages) if len(messages) == len(maps) else "not raised")
+"""
+
 
 def _run_optimized(script):
     done = subprocess.run(
@@ -163,8 +206,10 @@ def test_invariant_checks_survive_python_O(name, call):
     _run_optimized(_SHORT_BY_ONE.format(name=name, call=call))
 
 
-@pytest.mark.parametrize("script", [_NO_OCCUPIED_CELL, _INTERVALS_SHORT_OF_ONE],
-                         ids=["decompose", "interval_representation"])
+@pytest.mark.parametrize("script", [_NO_OCCUPIED_CELL, _INTERVALS_SHORT_OF_ONE, _NEGATIVE_WEIGHT,
+                                    _UNKNOWN_IMAGE],
+                         ids=["decompose", "interval_representation", "negative_weight",
+                              "unknown_image"])
 def test_decomposition_and_measure_checks_survive_python_O(script):
     _run_optimized(script)
 

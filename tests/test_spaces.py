@@ -101,31 +101,79 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _random_coords(rng, n, dim, trial):
+    """Uniform coordinates on alternate trials; otherwise drawn from a small
+    pool, so columns repeat values, with negatives and values outside [0, 1)."""
+    if trial % 2 == 0:
+        scale = rng.choice([1.0, 7.5, 1e-3])
+        return [[rng.uniform(-scale, scale) for _ in range(dim)] for _ in range(n)]
+    pool = [rng.uniform(-3.0, 3.0) for _ in range(3)] + [0.0, -0.0, 1.0, -1.25]
+    points = {tuple(rng.choice(pool) for _ in range(dim)) for _ in range(n)}
+    return [list(p) for p in sorted(points)]
+
+
+def _assert_extent_matches(space, reference):
+    upper = [e for i, row in enumerate(reference) for e in row[i + 1:]]
+    if upper:
+        assert space.min_positive_gap() == min(upper)
+        assert space.diameter() == max(upper)
+
+
 @pytest.mark.parametrize("rule", ["euclidean", "flat-torus"])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_rows_are_bit_identical_to_the_pairwise_rule(rule, dim):
     rng = random.Random(31 * dim + len(rule))
-    for trial in range(3):
-        n = rng.randint(2, 24)
-        scale = rng.choice([1.0, 7.5, 1e-3])
-        coords = [[rng.uniform(-scale, scale) for _ in range(dim)] for _ in range(n)]
-        space = build_space([f"p{i}" for i in range(n)], rule, coords=coords,
-                            validate=bool(trial % 2))
+    for trial in range(6):
+        coords = _random_coords(rng, rng.randint(2, 24), dim, trial)
+        n = len(coords)
+        # Distinct pool points can coincide on the torus, which validation rejects.
+        validate = trial == 2 or (trial == 3 and rule == "euclidean")
+        space = build_space([f"p{i}" for i in range(n)], rule, coords=coords, validate=validate)
         reference = _pairwise(space)
         for i in range(n):
             assert _bits(space.row(i)) == _bits(reference[i])
             assert space.row(i) is space.row(i)  # memoised, not recomputed
             assert all(space.d(i, j) == reference[i][j] for j in range(n))
+        _assert_extent_matches(space, reference)
 
 
-@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("n", [16, 32, 48, 64])
 def test_torus_scenario_rows_are_bit_identical_to_the_pairwise_rule(n):
     space = scenario_torus_shear(n).system.space
     assert space.matrix is None
     coords = space.coords
     rng = random.Random(n)
-    for i in [0, n - 1, n * n - 1] + rng.sample(range(n * n), 5):
+    rows = range(n * n) if n == 16 else [0, n - 1, n * n - 1] + rng.sample(range(n * n), 5)
+    for i in rows:
         assert _bits(space.row(i)) == _bits(_flat_torus(coords[i], c) for c in coords)
+    if n == 16:
+        _assert_extent_matches(space, _pairwise(space))
+
+
+def test_zero_dimensional_coordinates_give_zero_rows():
+    single = build_space(["only"], "euclidean", coords=[[]])
+    assert list(single.row(0)) == [0.0] == [_euclidean((), ())]
+    pair = build_space(["a", "b"], "flat-torus", coords=[[], []], validate=False)
+    assert list(pair.row(1)) == [0.0, 0.0]
+
+
+def test_two_term_overflow_is_raised_as_by_fsum():
+    # Two finite squares whose sum overflows: fsum raises, a + b would give inf.
+    coords = [[1.2e154, 1.2e154], [0.0, 0.0]]
+    with pytest.raises(OverflowError):
+        _euclidean(*coords)
+    with pytest.raises(MetricViolation, match=r"distance overflow in row 0$"):
+        build_space(["a", "b"], "euclidean", coords=coords)
+    space = build_space(["a", "b"], "euclidean", coords=coords, validate=False)
+    with pytest.raises(OverflowError):
+        space.row(1)
+    # An infinite difference squares to inf, which fsum returns without raising.
+    coords = [[1.7e308, 0.0], [-1.7e308, 0.0]]
+    assert _euclidean(*coords) == float("inf")
+    with pytest.raises(MetricViolation, match=r"distance overflow at \(0, 1\)"):
+        build_space(["a", "b"], "euclidean", coords=coords)
+    space = build_space(["a", "b"], "euclidean", coords=coords, validate=False)
+    assert list(space.row(0)) == [0.0, float("inf")]
 
 
 def test_gap_and_diameter_equal_the_all_pairs_formula():
