@@ -6,6 +6,7 @@ from .errors import (
     EmptySet,
     EpsilonTooLarge,
     InfeasibleInstance,
+    MalformedInput,
     MetricViolation,
     NotInvariant,
     NotInvariantMeasure,
@@ -25,7 +26,6 @@ from .measures import (
     point_mass,
     pushforward,
     sup_distance,
-    support,
 )
 from .convergence import (
     ConvergenceReport,
@@ -64,7 +64,6 @@ from .stability import (
 from .transport import (
     SolveReport,
     TransportPlan,
-    bottleneck_of_plan,
     feasible_at_threshold,
     w_infinity,
     w_infinity_bruteforce,

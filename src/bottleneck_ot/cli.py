@@ -9,8 +9,9 @@ Exit codes (scriptable):
   6  inconclusive verdict (convergence or stability)
   7  unstable with witness
 
-A ``SolverInvariantError`` (a solver breaking its own guarantee) is a bug, not
-bad input: it propagates with its traceback instead of exiting with code 2.
+Code 2 is for bad input only.  A ``SolverInvariantError`` (a solver breaking
+its own guarantee), or any exception that is not one of the package's errors,
+is a bug: it propagates with its traceback instead of exiting with code 2.
 
 Every distance prints with 12 significant digits; masses print as exact
 rationals.  Identical inputs, seed and flags produce byte-identical output.
@@ -19,17 +20,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import fileio
 from .convergence import CONSISTENT, NOT_CONVERGENT, d_convergence_verdict
 from .decomposition import check_feasibility, decompose, verify_decomposition
-from .errors import BottleneckOTError, InfeasibleInstance, SolverInvariantError, SpaceMismatch
-from .fileio import MalformedInput, fraction_str
+from .errors import BottleneckOTError, InfeasibleInstance, MalformedInput, SolverInvariantError, SpaceMismatch
+from .fileio import fraction_str
 from .spaces import hausdorff
 from .stability import (
     STABLE,
     UNSTABLE,
+    MapSystem,
     probe_asymptotic,
     probe_attractor,
     probe_exponential,
@@ -198,120 +200,90 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class _SystemFile:
+    """A ``--system`` file under the scenario protocol (see the ``stability``
+    module): every measure name is a file, every set a list of point ids."""
+
+    system: MapSystem
+    default_delta_grid: tuple
+    default_horizon: int
+
+    def measure(self, name: str):
+        return fileio.load_measure_file(name)
+
+    def atom_set(self, token: str):
+        return None
+
+    def extra_probes(self, measure_name):
+        return ()
+
+
 def _resolve_scenario(args):
     if args.scenario == "sink_source":
         return scenario_sink_source(args.n_basin, args.d_xy)
     if args.scenario == "torus":
         return scenario_torus_shear(args.grid_n)
-    return None
-
-
-def _scenario_measure(scenario, name: str):
-    if hasattr(scenario, "delta_sink"):
-        if name == "sink":
-            return scenario.delta_sink
-        if name == "source":
-            return scenario.delta_source
-        if name.startswith("mu_eps:"):
-            return scenario.mu_eps(Fraction(name.split(":", 1)[1]))
-    else:
-        if name.startswith("uniform_row"):
-            return scenario.uniform_row(int(name[len("uniform_row"):]))
-        if name.startswith("lopsided_row"):
-            return scenario.lopsided_row(int(name[len("lopsided_row"):]))
-    raise MalformedInput(f"unknown scenario measure {name!r}")
-
-
-def _scenario_set(scenario, token: str):
-    space = scenario.system.space
-    if hasattr(scenario, "delta_sink"):
-        if token == "sink":
-            return {scenario.sink}
-        if token == "source":
-            return {scenario.source}
-    elif token.startswith("row"):
-        return set(scenario.row_atoms(int(token[len("row"):])))
-    return {space.index_of(part) for part in token.split(",")}
-
-
-def _measure_lyapunov_extras(scenario, measure_name):
-    if scenario is None:
-        return ()
-    if hasattr(scenario, "delta_sink"):
-        return tuple(scenario.named_probe_family())
-    if measure_name and measure_name.startswith("uniform_row"):
-        j = int(measure_name[len("uniform_row"):])
-        return ((f"uniform_row{j + 1}", scenario.uniform_row(j + 1)),)
-    if measure_name and measure_name.startswith("lopsided_row"):
-        j = int(measure_name[len("lopsided_row"):])
-        return ((f"lopsided_row{j + 1}", scenario.lopsided_row(j + 1)),)
-    return ()
+    if args.system:
+        system = fileio.load_system_file(args.system)
+        space = system.space
+        return _SystemFile(system, (space.diameter() / 16, space.diameter() / 8), 2 * space.n_points)
+    raise MalformedInput("need --scenario or --system")
 
 
 def cmd_stability(args) -> int:
+    if args.horizon is not None and args.horizon < 0:
+        raise MalformedInput(f"--horizon must be >= 0, got {args.horizon}")
     scenario = _resolve_scenario(args)
-    if scenario is not None:
-        system = scenario.system
-    elif args.system:
-        system = fileio.load_system_file(args.system)
-    else:
-        raise MalformedInput("need --scenario or --system")
+    system = scenario.system
     space = system.space
 
-    deltas = args.delta or (
-        list(scenario.default_delta_grid) if scenario is not None else
-        [space.diameter() / 16, space.diameter() / 8]
-    )
+    deltas = args.delta or list(scenario.default_delta_grid)
     epses = args.eps or list(deltas)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = getattr(scenario, "n", None) or 2 * space.n_points
+    horizon = scenario.default_horizon if args.horizon is None else args.horizon
 
     measure = None
     measure_name = None
     if args.measure:
-        if scenario is not None and "." not in args.measure:
-            measure_name = args.measure
-            measure = _scenario_measure(scenario, args.measure)
-        else:
+        if "." in args.measure:  # a file, whatever the scenario
             measure = fileio.load_measure_file(args.measure)
+        else:
+            measure_name = args.measure
+            measure = scenario.measure(args.measure)
+            if measure is None:
+                raise MalformedInput(f"unknown scenario measure {args.measure!r}")
     atoms = None
     if args.set:
-        atoms = (
-            _scenario_set(scenario, args.set) if scenario is not None
-            else {space.index_of(part) for part in args.set.split(",")}
-        )
+        atoms = scenario.atom_set(args.set)
+        if atoms is None:
+            atoms = {space.index_of(part) for part in args.set.split(",")}
 
     notion = args.notion
     if notion == "lyapunov" and measure is not None and atoms is None:
         notion = "measure-lyapunov"
+    if notion == "measure-lyapunov" and measure is None:
+        raise MalformedInput("measure-lyapunov needs --measure")
+    if notion != "measure-lyapunov" and atoms is None:
+        raise MalformedInput(f"{notion} needs --set")
+    eps = max(epses)
     if notion == "measure-lyapunov":
-        if measure is None:
-            raise MalformedInput("measure-lyapunov needs --measure")
-        extras = _measure_lyapunov_extras(scenario, measure_name)
         report = probe_measure_lyapunov(
-            system, measure, deltas, horizon, args.probes, args.seed, extras
+            system, measure, deltas, horizon, args.probes, args.seed,
+            scenario.extra_probes(measure_name),
         )
     elif notion == "lyapunov":
-        if atoms is None:
-            raise MalformedInput("lyapunov needs --set")
         report = probe_lyapunov(
             system, atoms, epses, deltas, horizon, args.probes, args.seed
         )
     elif notion == "asymptotic":
-        if atoms is None:
-            raise MalformedInput("asymptotic needs --set")
         report = probe_asymptotic(
-            system, atoms, max(epses), horizon, args.probes, args.seed, args.tol
+            system, atoms, eps, horizon, args.probes, args.seed, args.tol
         )
     elif notion == "attractor":
-        if atoms is None:
-            raise MalformedInput("attractor needs --set")
-        report = probe_attractor(system, atoms, max(epses), args.n_max or horizon)
+        if args.n_max is not None and args.n_max < 1:
+            raise MalformedInput(f"--n-max must be >= 1, got {args.n_max}")
+        report = probe_attractor(system, atoms, eps, horizon if args.n_max is None else args.n_max)
     elif notion == "exponential":
-        if atoms is None:
-            raise MalformedInput("exponential needs --set")
-        eps = max(epses)
         grid = [d for d in deltas if d < eps] or [eps / 2]
         report = probe_exponential(system, atoms, eps, grid, horizon)
     else:
@@ -417,7 +389,7 @@ def main(argv=None) -> int:
         return EXIT_SPACE_MISMATCH
     except SolverInvariantError:
         raise  # a solver bug, not bad input: keep the traceback, not exit 2
-    except (MalformedInput, BottleneckOTError, ValueError) as exc:
+    except BottleneckOTError as exc:  # bad input; any other exception is a bug
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import EpsilonTooLarge, NotProbability, SpaceMismatch, SupportTooLarge
+from .errors import EpsilonTooLarge, MalformedInput, NotProbability, SpaceMismatch, SupportTooLarge
 from .measures import DiscreteMeasure
 from .spaces import hausdorff, same_space
 from .transport import w_infinity, w_p
@@ -33,7 +33,7 @@ class MeasureSequence:
     def build(cls, terms, limit: DiscreteMeasure) -> "MeasureSequence":
         terms = tuple(terms)
         if not terms:
-            raise ValueError("need at least one term")
+            raise MalformedInput("need at least one term")
         for term in terms:
             if not same_space(term.space, limit.space):
                 raise SpaceMismatch("sequence terms live on different spaces")
@@ -185,7 +185,7 @@ def d_convergence_verdict(sequence: MeasureSequence, *, w1_threshold: float = 1e
                           delta_threshold: float = 1e-6) -> ConvergenceReport:
     """Run all four checks and reconcile them into one evidence-qualified verdict."""
     if len(sequence) < 2:
-        raise ValueError("need a prefix of length >= 2")
+        raise MalformedInput("need a prefix of length >= 2")
     deltas, w1s = delta_sequence(sequence)
     space = sequence.space
     limit_supp = sequence.limit.support()

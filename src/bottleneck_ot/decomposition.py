@@ -34,7 +34,7 @@ from itertools import combinations
 from math import lcm
 from operator import add
 
-from .errors import CasePreconditionViolated, InfeasibleInstance, SolverInvariantError, TooManySets
+from .errors import CasePreconditionViolated, InfeasibleInstance, MalformedInput, SolverInvariantError, TooManySets
 from .flows import max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure, as_fraction, make_measure
 
@@ -53,9 +53,9 @@ class DecompositionInstance:
         sets = tuple(frozenset(xi.space.check_atom(a) for a in s) for s in sets)
         targets = tuple(as_fraction(t) for t in targets)
         if len(sets) != len(targets) or not sets:
-            raise ValueError("need m >= 1 sets with matching targets")
+            raise MalformedInput("need m >= 1 sets with matching targets")
         if any(t < 0 for t in targets):
-            raise ValueError("targets must be nonnegative")
+            raise MalformedInput("targets must be nonnegative")
         return cls(xi, sets, targets)
 
     @property

@@ -5,6 +5,11 @@ class BottleneckOTError(Exception):
     """Base class for all package errors."""
 
 
+class MalformedInput(BottleneckOTError):
+    """Input from outside the program (a file, an argument or a name) does not
+    match what it documents; the CLI exits with code 2."""
+
+
 class MetricViolation(BottleneckOTError):
     """Distance data is not a metric (asymmetry, bad diagonal, triangle failure)."""
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .convergence import ConvergenceReport, MeasureSequence
 from .decomposition import DecompositionInstance, DecompositionResult, VerificationVerdict
-from .errors import BottleneckOTError
+from .errors import MalformedInput
 from .measures import DiscreteMeasure, make_measure
 from .spaces import FiniteMetricSpace, build_space
 from .stability import MapSystem, StabilityReport
@@ -27,10 +27,6 @@ _METRIC_TOKENS = {
     "torus": "flat-torus",
     "matrix": "explicit-matrix",
 }
-
-
-class MalformedInput(BottleneckOTError):
-    """File contents do not match the documented schema."""
 
 
 def parse_space(obj) -> FiniteMetricSpace:
@@ -67,7 +63,10 @@ def parse_weights(space: FiniteMetricSpace, entries) -> DiscreteMeasure:
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad weights array: {exc}") from exc
-    return make_measure(space, pairs)
+    try:
+        return make_measure(space, pairs)
+    except ValueError as exc:  # a negative weight
+        raise MalformedInput(str(exc)) from exc
 
 
 def weights_to_obj(mu: DiscreteMeasure):

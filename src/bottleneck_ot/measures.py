@@ -57,10 +57,6 @@ class DiscreteMeasure:
     def __hash__(self):
         return hash((self.space.point_ids, tuple(sorted(self.weights.items()))))
 
-    def scale(self, factor: Fraction) -> "DiscreteMeasure":
-        factor = as_fraction(factor)
-        return make_measure(self.space, [(a, w * factor) for a, w in self.weights.items()])
-
     def add(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         if not same_space(self.space, other.space):
             raise SpaceMismatch("cannot add measures on different spaces")
@@ -68,12 +64,6 @@ class DiscreteMeasure:
         for a, w in other.weights.items():
             merged[a] = merged.get(a, ZERO) + w
         return make_measure(self.space, merged.items())
-
-    def restrict(self, atoms: Iterable[int]) -> "DiscreteMeasure":
-        keep = set(atoms)
-        return make_measure(
-            self.space, [(a, w) for a, w in self.weights.items() if a in keep]
-        )
 
 
 def make_measure(space: FiniteMetricSpace, atom_weight_pairs) -> DiscreteMeasure:
@@ -109,11 +99,6 @@ def _merge(space: FiniteMetricSpace, pairs) -> DiscreteMeasure:
 
 def point_mass(space: FiniteMetricSpace, atom: int) -> DiscreteMeasure:
     return make_measure(space, [(atom, ONE)])
-
-
-def support(mu: DiscreteMeasure) -> frozenset:
-    """The positive-weight atoms."""
-    return mu.support()
 
 
 def pushforward(mu: DiscreteMeasure, point_map) -> DiscreteMeasure:

@@ -9,6 +9,12 @@ point-level and measure-level stability together.
 Stability verdicts are resolution-qualified: probes are sampled at the tested
 perturbation sizes, witnesses are exact and replayable, and a "stable" verdict
 never claims more than the grids it was given.
+
+``cli stability`` reads a scenario through one protocol: ``system``,
+``default_delta_grid``, ``default_horizon``, ``measure(name)`` and
+``atom_set(token)`` (None for a name the scenario does not know), and
+``extra_probes(measure_name)``, the labelled perturbations added around that
+measure (``measure_name`` is None for a measure read from a file).
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EmptySet, NotInvariant, NotInvariantMeasure, SolverInvariantError
+from .errors import EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, SolverInvariantError
 from .measures import DiscreteMeasure, make_measure, point_mass, pushforward
 from .spaces import FiniteMetricSpace, build_space, hausdorff
 from .transport import w_infinity
@@ -130,9 +136,7 @@ def lift_hausdorff(space: FiniteMetricSpace, U, V) -> float:
     through point-mass probes; they must agree to float precision.
     """
     U, V = frozenset(U), frozenset(V)
-    if not U or not V:
-        raise EmptySet("lift Hausdorff of an empty set")
-    base = hausdorff(space, U, V)
+    base = hausdorff(space, U, V)  # raises EmptySet for an empty set
     lifted = max(
         max(dist_to_lift(point_mass(space, u), V) for u in U),
         max(dist_to_lift(point_mass(space, v), U) for v in V),
@@ -214,6 +218,8 @@ def _orbit_record(system: MapSystem, probe: DiscreteMeasure, horizon: int,
 
 
 def _sample_lift_probe(rng: random.Random, space: FiniteMetricSpace, candidates) -> DiscreteMeasure:
+    if not candidates:
+        raise EmptySet("no point within the probe radius to sample from")
     size = rng.randint(1, min(3, len(candidates)))
     atoms = rng.sample(sorted(candidates), size)
     return make_measure(space, list(zip(atoms, _random_weights(rng, size))))
@@ -292,19 +298,22 @@ def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
     )
 
 
+def _random_neighbor(rng: random.Random, space, a: int, delta) -> int:
+    targets = sorted(space.neighborhood([a], delta, closed=True))
+    if not targets:
+        raise EmptySet(f"no point within delta={delta!r} of atom {a}")
+    return rng.choice(targets)
+
+
 def _support_translation_probe(rng: random.Random, space, mu, delta) -> DiscreteMeasure:
-    pairs = []
-    for a, w in sorted(mu.weights.items()):
-        targets = sorted(space.neighborhood([a], delta, closed=True))
-        pairs.append((rng.choice(targets), w))
+    pairs = [(_random_neighbor(rng, space, a, delta), w) for a, w in sorted(mu.weights.items())]
     return make_measure(space, pairs)
 
 
 def _weight_leak_probe(rng: random.Random, space, mu, delta) -> DiscreteMeasure:
     atoms = sorted(mu.weights)
     a = rng.choice(atoms)
-    targets = sorted(space.neighborhood([a], delta, closed=True))
-    z = rng.choice(targets)
+    z = _random_neighbor(rng, space, a, delta)
     share = Fraction(rng.randint(1, 3), 4)
     moved = mu.weights[a] * share
     adjusted = dict(mu.weights)
@@ -330,37 +339,28 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
     space = system.space
     gap = space.min_positive_gap()
     deltas = sorted(delta_grid)
-    records = []
-    witness = None
-    for d_idx, delta in enumerate(deltas):
-        allowance = 2.0 * (delta + gap)
-        for k in range(probes_per_cell):
-            child_seed = seed * 1_000_003 + d_idx * 1_009 + k
-            rng = random.Random(child_seed)
-            maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
-            probe = maker(rng, space, mu, delta)
-            check = w_infinity(probe, mu).value
-            if not check <= delta + 1e-12:
-                raise SolverInvariantError("sampled probe escaped its delta ball")
-            record = _orbit_record(
-                system, probe, horizon,
-                lambda m: w_infinity(m, mu).value,
-                f"delta{delta:.6g}/{maker.__name__.strip('_')}{k}",
-                child_seed, allowance,
-            )
-            records.append(record)
-            if witness is None and record.exceeded():
-                witness = record
-    extra_allowance = 2.0 * ((deltas[-1] if deltas else gap) + gap)
-    for label, probe in extra_probes:
-        record = _orbit_record(
-            system, probe, horizon,
-            lambda m: w_infinity(m, mu).value,
-            f"extra/{label}", None, extra_allowance,
-        )
-        records.append(record)
-        if witness is None and record.exceeded():
-            witness = record
+
+    def probes():
+        """(probe, label, seed, allowance); a sample is drawn just before its orbit."""
+        for d_idx, delta in enumerate(deltas):
+            for k in range(probes_per_cell):
+                child_seed = seed * 1_000_003 + d_idx * 1_009 + k
+                maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
+                probe = maker(random.Random(child_seed), space, mu, delta)
+                if not w_infinity(probe, mu).value <= delta + 1e-12:
+                    raise SolverInvariantError("sampled probe escaped its delta ball")
+                label = f"delta{delta:.6g}/{maker.__name__.strip('_')}{k}"
+                yield probe, label, child_seed, 2.0 * (delta + gap)
+        extra_allowance = 2.0 * ((deltas[-1] if deltas else gap) + gap)
+        for label, probe in extra_probes:
+            yield probe, f"extra/{label}", None, extra_allowance
+
+    records = [
+        _orbit_record(system, probe, horizon, lambda m: w_infinity(m, mu).value,
+                      label, child_seed, allowance)
+        for probe, label, child_seed, allowance in probes()
+    ]
+    witness = next((record for record in records if record.exceeded()), None)
     return StabilityReport(
         notion="measure-lyapunov",
         params={
@@ -513,10 +513,8 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         h = []
         current = U
         for n in range(horizon + 1):
-            h.append(hausdorff(space, A, current) if current != A else 0.0)
-            # Identity check along the orbit: base and lifted Hausdorff agree.
-            if not abs(h[-1] - (lift_hausdorff(space, A, current) if current else 0.0)) <= 1e-12:
-                raise SolverInvariantError("base and lifted Hausdorff distances disagree on the orbit")
+            # lift_hausdorff checks the base value against the lifted one.
+            h.append(lift_hausdorff(space, A, current) if current != A else 0.0)
             current = system.image_of_set(current)
         record = ProbeRecord(
             label=f"delta{delta:.6g}/neighborhood",
@@ -554,6 +552,16 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
     )
 
 
+def _parsed(name: str, parse):
+    """``parse()``, with the error of a malformed ``name`` reported as such."""
+    try:
+        return parse()
+    except ZeroDivisionError:
+        raise MalformedInput(f"zero denominator in {name!r}") from None
+    except ValueError as exc:  # not a number, or a mu_eps weight outside [0, 1]
+        raise MalformedInput(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class SinkSourceScenario:
     """A line of basin points draining into a sink, with a fixed source at the end."""
@@ -565,7 +573,7 @@ class SinkSourceScenario:
     delta_sink: DiscreteMeasure
     delta_source: DiscreteMeasure
     default_delta_grid: tuple
-    default_eps_grid: tuple
+    default_horizon: int
 
     def mu_eps(self, eps: Fraction) -> DiscreteMeasure:
         eps = Fraction(eps)
@@ -573,16 +581,26 @@ class SinkSourceScenario:
             self.system.space, [(self.sink, 1 - eps), (self.source, eps)]
         )
 
-    def named_probe_family(self):
-        return [
-            (f"mu_eps_{eps}", self.mu_eps(eps))
-            for eps in (Fraction(1, 8), Fraction(1, 4))
-        ]
+    def measure(self, name: str) -> DiscreteMeasure | None:
+        """``sink``, ``source`` or ``mu_eps:<fraction>``."""
+        if name.startswith("mu_eps:"):
+            return _parsed(name, lambda: self.mu_eps(Fraction(name[len("mu_eps:"):])))
+        return {"sink": self.delta_sink, "source": self.delta_source}.get(name)
+
+    def atom_set(self, token: str) -> set | None:
+        """``sink`` or ``source``."""
+        return {"sink": {self.sink}, "source": {self.source}}.get(token)
+
+    def extra_probes(self, measure_name: str | None) -> tuple:
+        """The mixtures mu_eps at 1/8 and 1/4, whatever the probed measure."""
+        return tuple(
+            (f"mu_eps_{eps}", self.mu_eps(eps)) for eps in (Fraction(1, 8), Fraction(1, 4))
+        )
 
 
 def scenario_sink_source(n_basin: int, d_xy: float = 1.0) -> SinkSourceScenario:
     if n_basin < 1:
-        raise ValueError("need at least one basin point")
+        raise MalformedInput("need at least one basin point")
     ids = ["sink"] + [f"b{k}" for k in range(1, n_basin + 1)] + ["source"]
     step = d_xy / (n_basin + 1)
     coords = [[k * step] for k in range(n_basin + 2)]
@@ -598,7 +616,7 @@ def scenario_sink_source(n_basin: int, d_xy: float = 1.0) -> SinkSourceScenario:
         delta_sink=point_mass(space, 0),
         delta_source=point_mass(space, source),
         default_delta_grid=(d_xy / 8, d_xy / 4),
-        default_eps_grid=(d_xy / 8, d_xy / 4),
+        default_horizon=2 * space.n_points,
     )
 
 
@@ -637,12 +655,42 @@ class TorusShearScenario:
     def default_delta_grid(self):
         return (1.0 / self.n, 2.0 / self.n)
 
+    @property
+    def default_horizon(self) -> int:
+        return self.n
+
+    def _named_row(self, name: str):
+        """(row_measure, j) for a name ``<row_measure><j>`` with row_measure
+        ``uniform_row`` or ``lopsided_row``; (None, None) for any other name."""
+        for row_measure in (self.uniform_row, self.lopsided_row):
+            family = row_measure.__name__
+            if name.startswith(family):
+                return row_measure, _parsed(name, lambda: int(name[len(family):]))
+        return None, None
+
+    def measure(self, name: str) -> DiscreteMeasure | None:
+        row_measure, j = self._named_row(name)
+        return None if row_measure is None else row_measure(j)
+
+    def atom_set(self, token: str) -> set | None:
+        """``row<j>``."""
+        if not token.startswith("row"):
+            return None
+        return set(self.row_atoms(_parsed(token, lambda: int(token[len("row"):]))))
+
+    def extra_probes(self, measure_name: str | None) -> tuple:
+        """The next row of the family of a named row measure."""
+        row_measure, j = self._named_row(measure_name or "")
+        if row_measure is None:
+            return ()
+        return ((f"{row_measure.__name__}{j + 1}", row_measure(j + 1)),)
+
 
 def scenario_torus_shear(n: int) -> TorusShearScenario:
     # Even n keeps the half-turn step n/2 integral, which makes the
     # instability witness land exactly on the antipodal configuration.
     if n < 4 or n % 2:
-        raise ValueError("need an even grid size n >= 4")
+        raise MalformedInput("need an even grid size n >= 4")
     return _torus_scenario_cached(n)
 
 

@@ -59,11 +59,6 @@ class SolveReport:
     feasibility_calls: int
 
 
-def bottleneck_of_plan(plan: TransportPlan) -> float:
-    """Max distance over positive-mass entries (the plan's essential sup)."""
-    return plan.bottleneck()
-
-
 def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, probability: bool = True):
     if not same_space(mu.space, nu.space):
         raise SpaceMismatch("measures live on different spaces")
@@ -274,21 +269,10 @@ def w_p_enumerate(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
     return best(rows, cols) ** (1.0 / p)
 
 
-def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int, method: str = "flow") -> float:
-    """p-Wasserstein distance for p in {1, 2}: exact masses, float costs.
-
-    The min-cost flow handles every support size; ``method="enumerate"``
-    routes small instances through the polytope-vertex oracle instead.
-    """
-    if p not in (1, 2):
-        raise UnsupportedP(f"p must be 1 or 2, got {p}")
-    _require_comparable(mu, nu)
-    if method == "enumerate":
-        return w_p_enumerate(mu, nu, p)
-    if method != "flow":
-        raise ValueError(f"unknown method {method!r}")
-    cost, _ = _wp_min_cost_flow(mu, nu, p)
-    return cost ** (1.0 / p)
+def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
+    """p-Wasserstein distance for p in {1, 2}: exact masses, float costs, by
+    min-cost flow (``w_p_enumerate`` is the independent oracle)."""
+    return w_p_plan(mu, nu, p)[0]
 
 
 def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):

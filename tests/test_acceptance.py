@@ -178,7 +178,7 @@ def test_acceptance_09_sink_source_scenario():
         assert abs(w_p(mu_eps, sc.delta_sink, 1) - float(eps) * sc.d_xy) <= 1e-12
     report = probe_measure_lyapunov(
         sc.system, sc.delta_sink, sc.default_delta_grid, horizon=14,
-        probes_per_cell=2, seed=0, extra_probes=sc.named_probe_family(),
+        probes_per_cell=2, seed=0, extra_probes=sc.extra_probes("sink"),
     )
     assert report.verdict == UNSTABLE
     assert time.monotonic() - start < 5.0

@@ -418,3 +418,106 @@ def test_stability_exponential_cli(capsys):
     ])
     assert code == 0
     assert "verdict StableAtResolution" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--scenario", "sink_source", "--notion", "measure-lyapunov", "--measure", "mu_eps:1/0"],
+     "zero denominator in 'mu_eps:1/0'"),
+    (["--scenario", "sink_source", "--notion", "lyapunov", "--set", "sink", "--horizon=-1"],
+     "--horizon must be >= 0, got -1"),
+    (["--scenario", "sink_source", "--notion", "attractor", "--set", "sink", "--n-max", "0"],
+     "--n-max must be >= 1, got 0"),
+], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max"])
+def test_stability_bad_arguments_exit_2_with_their_own_message(capsys, flags, message):
+    assert main(["stability"] + flags) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, delta_x, delta_y):
+    # A plan whose marginals do not match is a solver bug: it must surface
+    # with its traceback, not as exit code 2.
+    from bottleneck_ot import transport
+
+    entries = transport._Bipartite.entries
+    monkeypatch.setattr(transport._Bipartite, "entries",
+                        lambda self, pairs, flows: entries(self, pairs, flows)[1:])
+    with pytest.raises(ValueError, match="plan marginals do not match"):
+        main(["dist", delta_x, delta_y])
+
+
+def _weights(*pairs):
+    return [{"atom": atom, "num": num, "den": den} for atom, num, den in pairs]
+
+
+HALF = _weights(("x", 1, 2), ("y", 1, 2))
+NEGATIVE = _weights(("x", -1, 2), ("y", 3, 2))
+HOSTILE_FILES = {
+    "half.json": {"space": TWO_POINT_SPACE, "weights": HALF},
+    "negative.json": {"space": TWO_POINT_SPACE, "weights": NEGATIVE},
+    "negative_den.json": {"space": TWO_POINT_SPACE, "weights": _weights(("x", 1, -2), ("y", 3, 2))},
+    "zero_den.json": {"space": TWO_POINT_SPACE, "weights": _weights(("x", 1, 0), ("y", 1, 1))},
+    "unknown_atom.json": {"space": TWO_POINT_SPACE, "weights": _weights(("z", 1, 1))},
+    "garbled.json": "{not json",
+    "no_terms.json": {"space": TWO_POINT_SPACE, "terms": [], "limit": HALF},
+    "one_term.json": {"space": TWO_POINT_SPACE, "terms": [HALF], "limit": HALF},
+    "negative_term.json": {"space": TWO_POINT_SPACE, "terms": [NEGATIVE, HALF], "limit": HALF},
+    "negative_limit.json": {"space": TWO_POINT_SPACE, "terms": [HALF, HALF], "limit": NEGATIVE},
+    "negative_target.json": {"xi": {"space": TWO_POINT_SPACE, "weights": HALF},
+                             "sets": [["x"], ["y"]],
+                             "targets": [{"num": -1, "den": 2}, {"num": 3, "den": 2}]},
+    "unmatched_targets.json": {"xi": {"space": TWO_POINT_SPACE, "weights": HALF},
+                               "sets": [["x"]],
+                               "targets": [{"num": 1, "den": 2}, {"num": 1, "den": 2}]},
+    "no_sets.json": {"xi": {"space": TWO_POINT_SPACE, "weights": HALF}, "sets": [], "targets": []},
+    "negative_xi.json": {"xi": {"space": TWO_POINT_SPACE, "weights": NEGATIVE},
+                         "sets": [["x"]], "targets": [{"num": 1, "den": 1}]},
+    "identity.json": {"space": TWO_POINT_SPACE, "map": {"x": "x", "y": "y"}},
+    "partial_map.json": {"space": TWO_POINT_SPACE, "map": {"x": "x"}},
+}
+SINK_SOURCE = ["stability", "--scenario", "sink_source"]
+HOSTILE_ARGV = [
+    ["dist", "{dir}/negative.json", "{dir}/half.json"],
+    ["dist", "{dir}/negative_den.json", "{dir}/half.json", "--p", "1"],
+    ["dist", "{dir}/zero_den.json", "{dir}/half.json"],
+    ["dist", "{dir}/unknown_atom.json", "{dir}/half.json"],
+    ["dist", "{dir}/missing.json", "{dir}/half.json"],
+    ["plan", "{dir}/half.json", "{dir}/negative.json"],
+    ["plan", "{dir}/garbled.json", "{dir}/half.json"],
+    ["decompose", "{dir}/negative_target.json"],
+    ["decompose", "{dir}/unmatched_targets.json"],
+    ["decompose", "{dir}/no_sets.json"],
+    ["decompose", "{dir}/negative_xi.json"],
+    ["converge", "{dir}/no_terms.json"],
+    ["converge", "{dir}/one_term.json"],
+    ["converge", "{dir}/negative_term.json"],
+    ["converge", "{dir}/negative_limit.json"],
+    ["compare", "{dir}/no_terms.json"],
+    ["compare", "{dir}/negative_term.json", "--format", "csv"],
+    SINK_SOURCE + ["--notion", "lyapunov", "--set", "sink", "--delta=-1"],
+    SINK_SOURCE + ["--notion", "asymptotic", "--set", "sink", "--eps", "nan"],
+    SINK_SOURCE + ["--notion", "asymptotic", "--set", "sink", "--d-xy=-1"],
+    SINK_SOURCE + ["--notion", "measure-lyapunov", "--measure", "sink", "--delta=-1"],
+    SINK_SOURCE + ["--notion", "measure-lyapunov", "--measure", "mu_eps:3/2"],
+    SINK_SOURCE + ["--notion", "measure-lyapunov", "--measure", "mu_eps:abc"],
+    SINK_SOURCE + ["--notion", "attractor", "--set", "source", "--n-max=-1"],
+    SINK_SOURCE + ["--notion", "exponential", "--set", "sink", "--horizon=-3"],
+    SINK_SOURCE + ["--n-basin", "0", "--notion", "lyapunov", "--set", "sink"],
+    ["stability", "--scenario", "torus", "--grid-n", "6", "--notion", "lyapunov",
+     "--set", "rowx"],
+    ["stability", "--scenario", "torus", "--grid-n", "5", "--notion", "lyapunov",
+     "--set", "row0"],
+    ["stability", "--system", "{dir}/identity.json", "--notion", "measure-lyapunov",
+     "--measure", "{dir}/negative.json"],
+    ["stability", "--system", "{dir}/partial_map.json", "--notion", "lyapunov", "--set", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_ARGV, ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
+def test_hostile_input_exits_2_with_empty_stdout(capsys, tmp_path, argv):
+    for name, obj in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    code = main([arg.replace("{dir}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")

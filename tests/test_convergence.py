@@ -12,7 +12,7 @@ from bottleneck_ot.convergence import (
     separating_mass_check,
     separating_subsets,
 )
-from bottleneck_ot.errors import EpsilonTooLarge, SupportTooLarge
+from bottleneck_ot.errors import EpsilonTooLarge, MalformedInput, SupportTooLarge
 from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space
 
@@ -168,7 +168,7 @@ def test_support_witness_fires_when_masses_balance_but_supports_disagree():
 def test_sequence_build_validation(two):
     mu = point_mass(two, 0)
     half = make_measure(two, [(0, Fraction(1, 2))])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         MeasureSequence.build([], mu)
     from bottleneck_ot.errors import NotProbability, SpaceMismatch
 
@@ -181,7 +181,7 @@ def test_sequence_build_validation(two):
     )
     with pytest.raises(SpaceMismatch):
         MeasureSequence.build([other_space_mu], mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         d_convergence_verdict(MeasureSequence.build([mu], mu))
 
 

@@ -10,7 +10,6 @@ from bottleneck_ot.measures import (
     point_mass,
     pushforward,
     sup_distance,
-    support,
 )
 from bottleneck_ot.spaces import build_space
 from bottleneck_ot.transport import w_infinity
@@ -26,18 +25,18 @@ def two_point_space():
 def test_point_mass(two_point_space):
     mu = make_measure(two_point_space, [(0, 1)])
     assert mu.total_mass == 1
-    assert support(mu) == {0}
+    assert mu.support() == {0}
 
 
 def test_two_atom_measure(two_point_space):
     mu = make_measure(two_point_space, [(0, Fraction(1, 4)), (1, Fraction(3, 4))])
     assert mu.total_mass == 1
-    assert support(mu) == {0, 1}
+    assert mu.support() == {0, 1}
 
 
 def test_zero_weights_dropped_and_duplicates_merged(two_point_space):
     mu = make_measure(two_point_space, [(0, Fraction(1, 2)), (1, 0)])
-    assert support(mu) == {0}
+    assert mu.support() == {0}
     merged = make_measure(two_point_space, [(0, Fraction(1, 4)), (0, Fraction(1, 4))])
     assert merged.mass_at(0) == Fraction(1, 2)
 
@@ -71,7 +70,7 @@ def test_pushforward_mass_conservation_random():
         f = {a: rng.randrange(space.n_points) for a in range(space.n_points)}
         nu = pushforward(mu, f)
         assert nu.total_mass == mu.total_mass
-        assert support(nu) == {f[a] for a in support(mu)}
+        assert nu.support() == {f[a] for a in mu.support()}
 
 
 def test_interval_representation_layout(two_point_space):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bottleneck_ot.errors import EmptySet, NotInvariant, NotInvariantMeasure
+from bottleneck_ot.errors import (
+    EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, SolverInvariantError,
+)
 from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space, hausdorff
 from bottleneck_ot.stability import (
@@ -211,7 +213,7 @@ def test_sink_source_scenario_basics():
 def test_sink_source_point_set_lyapunov_stable():
     sc = scenario_sink_source(4, 1.0)
     report = probe_lyapunov(
-        sc.system, {sc.sink}, sc.default_eps_grid, sc.default_delta_grid,
+        sc.system, {sc.sink}, sc.default_delta_grid, sc.default_delta_grid,
         horizon=10, probes_per_cell=2, seed=0,
     )
     assert report.verdict == STABLE
@@ -261,7 +263,7 @@ def test_sink_source_measure_lyapunov_unstable_via_named_family():
     sc = scenario_sink_source(6, 1.0)
     report = probe_measure_lyapunov(
         sc.system, sc.delta_sink, sc.default_delta_grid, horizon=12,
-        probes_per_cell=2, seed=0, extra_probes=sc.named_probe_family(),
+        probes_per_cell=2, seed=0, extra_probes=sc.extra_probes("sink"),
     )
     assert report.verdict == UNSTABLE
     assert report.witness.label.startswith("extra/mu_eps")
@@ -272,7 +274,7 @@ def test_unstable_witness_is_replayable():
     sc = scenario_sink_source(6, 1.0)
     report = probe_measure_lyapunov(
         sc.system, sc.delta_sink, sc.default_delta_grid, horizon=12,
-        probes_per_cell=2, seed=0, extra_probes=sc.named_probe_family(),
+        probes_per_cell=2, seed=0, extra_probes=sc.extra_probes("sink"),
     )
     witness = report.witness
     probe = measure_from_frozen(sc.system.space, witness.weights)
@@ -329,11 +331,11 @@ def test_attractor_escape_when_neighborhood_never_reenters():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         scenario_sink_source(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         scenario_torus_shear(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInput):
         scenario_torus_shear(2)
 
 
@@ -358,6 +360,18 @@ def test_exponential_one_step_collapse():
     report = probe_exponential(system, {0}, eps=2.0, delta_grid=[1.5], horizon=4)
     assert report.verdict == STABLE
     assert report.params["fits"]["1.5"]["collapsed"]
+
+
+def test_exponential_checks_the_lift_identity_each_step(monkeypatch):
+    # The report's note says the lifted Hausdorff distance was checked against
+    # the base one at every step: a lifted route that disagrees must raise.
+    from bottleneck_ot import stability
+
+    space = build_space(["a", "b"], "euclidean", coords=[[0.0], [1.0]])
+    system = MapSystem.build(space, [0, 0])
+    monkeypatch.setattr(stability, "dist_to_lift", lambda mu, atoms: 7.0)
+    with pytest.raises(SolverInvariantError):
+        probe_exponential(system, {0}, eps=2.0, delta_grid=[1.5], horizon=4)
 
 
 def test_exponential_rotation_not_exponential():

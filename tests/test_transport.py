@@ -8,7 +8,6 @@ from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space, hausdorff
 from bottleneck_ot.transport import (
     TransportPlan,
-    bottleneck_of_plan,
     candidate_thresholds,
     feasible_at_threshold,
     w_infinity,
@@ -89,7 +88,7 @@ def test_w_infinity_vanishing_atom_instance(line):
     mu4 = vanishing_atom_term(line, 4)
     report = w_infinity(mu4, point_mass(line, 1))
     assert report.value == 1.0
-    assert bottleneck_of_plan(report.plan) == 1.0
+    assert report.plan.bottleneck() == 1.0
     assert report.feasibility_calls <= report.thresholds_tested
 
 
@@ -100,7 +99,7 @@ def test_w_infinity_plan_is_exact_witness():
         mu = random_probability_measure(rng, space, max_atoms=5)
         nu = random_probability_measure(rng, space, max_atoms=5)
         report = w_infinity(mu, nu)
-        assert bottleneck_of_plan(report.plan) == report.value
+        assert report.plan.bottleneck() == report.value
         assert report.value in set(candidate_thresholds(mu, nu))
 
 
@@ -153,13 +152,14 @@ def test_hausdorff_support_bound():
         assert d_supp <= w_infinity(mu, nu).value + 1e-12
 
 
-def test_w_p_validates_p_and_method(line):
-    with pytest.raises(UnsupportedP):
-        w_p(point_mass(line, 0), point_mass(line, 1), 3)
-    with pytest.raises(ValueError):
-        w_p(point_mass(line, 0), point_mass(line, 1), 1, method="magic")
-    via_enum = w_p(point_mass(line, 0), point_mass(line, 1), 1, method="enumerate")
-    assert via_enum == 1.0
+def test_w_p_validates_p(line):
+    mu, nu = point_mass(line, 0), point_mass(line, 1)
+    for solver in (w_p, w_p_plan, w_p_enumerate):
+        with pytest.raises(UnsupportedP):
+            solver(mu, nu, 3)
+    with pytest.raises(TypeError):  # the min-cost flow is the only method
+        w_p(mu, nu, 1, method="enumerate")
+    assert w_p(mu, nu, 1) == w_p_enumerate(mu, nu, 1) == 1.0
 
 
 def test_w_p_enumerate_cap():
@@ -232,7 +232,7 @@ def test_plan_marginal_validation(line):
     plan = TransportPlan(
         mu, nu, ((0, 1, Fraction(1, 2)), (1, 1, Fraction(1, 2)))
     )
-    assert bottleneck_of_plan(plan) == 1.0
+    assert plan.bottleneck() == 1.0
 
 
 def test_epsilon_net_snapping_moves_value_by_at_most_epsilon():
