@@ -52,7 +52,6 @@ from .stability import (
     MapSystem,
     StabilityReport,
     dist_to_lift,
-    lift_hausdorff,
     probe_asymptotic,
     probe_attractor,
     probe_exponential,

@@ -19,6 +19,7 @@ rationals.  Identical inputs, seed and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -231,9 +232,22 @@ def _resolve_scenario(args):
     raise MalformedInput("need --scenario or --system")
 
 
-def cmd_stability(args) -> int:
+def _check_stability_numbers(args) -> None:
+    """Reject counts below zero and distances that are not finite and positive."""
     if args.horizon is not None and args.horizon < 0:
         raise MalformedInput(f"--horizon must be >= 0, got {args.horizon}")
+    if args.probes < 0:
+        raise MalformedInput(f"--probes must be >= 0, got {args.probes}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise MalformedInput(f"--tol must be finite and >= 0, got {args.tol}")
+    for flag, values in (("--eps", args.eps), ("--delta", args.delta), ("--d-xy", [args.d_xy])):
+        for value in values or ():
+            if not (math.isfinite(value) and value > 0):
+                raise MalformedInput(f"{flag} must be finite and > 0, got {value}")
+
+
+def cmd_stability(args) -> int:
+    _check_stability_numbers(args)
     scenario = _resolve_scenario(args)
     system = scenario.system
     space = system.space

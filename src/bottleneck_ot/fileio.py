@@ -150,7 +150,7 @@ def parse_system(obj) -> MapSystem:
         }
         if len(mapping) != space.n_points:
             raise MalformedInput("map must cover every point exactly once")
-        return MapSystem.build(space, mapping)
+        return MapSystem.build(space, [mapping[i] for i in range(space.n_points)])
     except (KeyError, TypeError, AttributeError) as exc:
         raise MalformedInput(f"bad system object: {exc}") from exc
 
@@ -169,15 +169,8 @@ def dumps_sorted(obj) -> str:
 
 def decomposition_to_obj(instance: DecompositionInstance, result: DecompositionResult,
                          verdict: VerificationVerdict):
-    ids = instance.xi.space.point_ids
     return {
-        "components": [
-            [
-                {"atom": ids[a], "num": w.numerator, "den": w.denominator}
-                for a, w in sorted(nu.weights.items())
-            ]
-            for nu in result.components
-        ],
+        "components": [weights_to_obj(nu) for nu in result.components],
         "trace": [{"case": label, "depth": depth} for label, depth in result.trace],
         "max_depth": result.max_depth,
         "verification": str(verdict),

@@ -266,7 +266,9 @@ def build_space(points, metric_rule: str = "euclidean", *, coords=None, matrix=N
     if metric_rule == "explicit-matrix":
         if matrix is None:
             raise MetricViolation("explicit-matrix rule requires a matrix")
-        dist = tuple(tuple(float(v) for v in row) for row in matrix)
+        # "+ 0.0" turns a -0.0 entry into 0.0, so that d(x, x) and every
+        # distance read from it are +0.0 and print as "0".
+        dist = tuple(tuple(float(v) + 0.0 for v in row) for row in matrix)
         if len(dist) != n or any(len(row) != n for row in dist):
             raise MetricViolation("matrix shape does not match the point count")
         if validate:

@@ -47,15 +47,10 @@ class MapSystem:
 
     @classmethod
     def build(cls, space: FiniteMetricSpace, mapping) -> "MapSystem":
-        if callable(mapping):
-            table = tuple(space.check_atom(mapping(i)) for i in range(space.n_points))
-        elif isinstance(mapping, dict):
-            table = tuple(space.check_atom(mapping[i]) for i in range(space.n_points))
-        else:
-            table = tuple(space.check_atom(j) for j in mapping)
-            if len(table) != space.n_points:
-                raise ValueError("mapping must cover every point")
-        return cls(space, table)
+        """``mapping`` is a sequence: ``mapping[i]`` is the image of atom i."""
+        if len(mapping) != space.n_points:
+            raise ValueError("mapping must cover every point")
+        return cls(space, tuple(space.check_atom(mapping[i]) for i in range(space.n_points)))
 
     def iterate(self, n: int) -> tuple:
         """The table of f^n, by repeated squaring; threads that race on an
@@ -94,56 +89,48 @@ class MapSystem:
 
 @dataclass(frozen=True)
 class LiftedSet:
-    """The set of all probability measures supported inside ``atoms``."""
+    """The set of all probability measures supported inside ``atoms``.
+
+    d(x, atoms) is read once for every point x, from the rows of the atoms.
+    The Hausdorff distance between two lifts is that of their base sets, so
+    set-level distances need no lift; the test suite checks the identity
+    against the solver.
+    """
 
     space: FiniteMetricSpace
     atoms: frozenset
+    _to_set: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise EmptySet("a lift needs a nonempty base set")
+        object.__setattr__(self, "_to_set", self.space.distances_to(self.atoms))
 
     def contains(self, mu: DiscreteMeasure) -> bool:
         return mu.support() <= self.atoms
 
+    def distance(self, mu: DiscreteMeasure) -> float:
+        """Bottleneck distance from ``mu`` to the lift.
+
+        Closed form: the farthest support atom decides, because every atom's
+        mass must travel into the set and nothing caps how the set's measures
+        spread.  Checked against the solver in the test suite.
+        """
+        to_set = self._to_set
+        return max(to_set[a] for a in mu.weights)
+
 
 def dist_to_lift(mu: DiscreteMeasure, atoms) -> float:
-    """Bottleneck distance from a measure to the lift of a set.
-
-    Closed form: the farthest support atom decides, because every atom's mass
-    must travel into the set and nothing caps how the set's measures spread.
-    Validated against solver brute force in the test suite before being
-    trusted here.
-    """
-    atoms = list(atoms)
-    if not atoms:
-        raise EmptySet("distance to the lift of an empty set")
-    space = mu.space
-    return max(space.set_distance(a, atoms) for a in mu.support())
+    """Bottleneck distance from a measure to the lift of a set."""
+    return LiftedSet(mu.space, frozenset(atoms)).distance(mu)
 
 
-def _lift_distance(space: FiniteMetricSpace, atoms):
-    """``dist_to_lift(m, atoms)`` as a function of m, reading d(x, atoms) from
-    one vector computed up front instead of from rows at every call."""
-    to_set = space.distances_to(atoms)
-    return lambda m: max(to_set[a] for a in m.weights)
-
-
-def lift_hausdorff(space: FiniteMetricSpace, U, V) -> float:
-    """Hausdorff distance between two lifts; equals d_H of the base sets.
-
-    Both routes are evaluated: the matrix sup-inf form and the lifted form
-    through point-mass probes; they must agree to float precision.
-    """
-    U, V = frozenset(U), frozenset(V)
-    base = hausdorff(space, U, V)  # raises EmptySet for an empty set
-    lifted = max(
-        max(dist_to_lift(point_mass(space, u), V) for u in U),
-        max(dist_to_lift(point_mass(space, v), U) for v in V),
-    )
-    if not abs(base - lifted) <= 1e-12:  # a NaN fails too
-        raise SolverInvariantError(f"base Hausdorff {base} and lifted {lifted} disagree")
-    return base
+def _invariant_target(system: MapSystem, A) -> frozenset:
+    """``A`` as a frozenset, which a probe needs to satisfy f(A) within A."""
+    A = frozenset(A)
+    if not system.is_invariant_set(A):
+        raise NotInvariant("probe target must satisfy f(A) within A")
+    return A
 
 
 @dataclass(frozen=True)
@@ -217,40 +204,39 @@ def _orbit_record(system: MapSystem, probe: DiscreteMeasure, horizon: int,
     )
 
 
-def _sample_lift_probe(rng: random.Random, space: FiniteMetricSpace, candidates) -> DiscreteMeasure:
-    if not candidates:
+def _lift_probes(space: FiniteMetricSpace, candidates, samples: int, seed: int,
+                 d_idx: int = 0, prefix: str = ""):
+    """(label, seed, probe): a point mass at each candidate, then ``samples``
+    measures of one to three candidate atoms, each drawn from its own seed."""
+    if samples and not candidates:
         raise EmptySet("no point within the probe radius to sample from")
-    size = rng.randint(1, min(3, len(candidates)))
-    atoms = rng.sample(sorted(candidates), size)
-    return make_measure(space, list(zip(atoms, _random_weights(rng, size))))
+    pool = sorted(candidates)
+    for x in pool:
+        yield f"{prefix}point{x}", None, point_mass(space, x)
+    for k in range(samples):
+        child_seed = seed * 1_000_003 + d_idx * 1_009 + k
+        rng = random.Random(child_seed)
+        size = rng.randint(1, min(3, len(pool)))
+        atoms = rng.sample(pool, size)
+        yield (f"{prefix}sample{k}", child_seed,
+               make_measure(space, list(zip(atoms, _random_weights(rng, size)))))
 
 
 def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
                    probes_per_cell: int, seed: int = 0) -> StabilityReport:
     """Point-set Lyapunov probe: do small lift-neighborhoods stay inside each
     epsilon over the horizon?  Stable per epsilon when some tested delta works."""
-    A = frozenset(A)
-    if not system.is_invariant_set(A):
-        raise NotInvariant("probe target must satisfy f(A) within A")
+    A = _invariant_target(system, A)
     space = system.space
-    to_lift = _lift_distance(space, A)
+    lift = LiftedSet(space, A)
     records = []
     cell_worst: dict[float, ProbeRecord] = {}
     for d_idx, delta in enumerate(sorted(delta_grid)):
         candidates = space.neighborhood(A, delta, closed=True)
-        probes = [
-            (f"delta{delta:.6g}/point{x}", None, point_mass(space, x))
-            for x in sorted(candidates)
-        ]
-        for k in range(probes_per_cell):
-            child_seed = seed * 1_000_003 + d_idx * 1_009 + k
-            rng = random.Random(child_seed)
-            probes.append(
-                (f"delta{delta:.6g}/sample{k}", child_seed,
-                 _sample_lift_probe(rng, space, candidates))
-            )
-        for label, child_seed, probe in probes:
-            record = _orbit_record(system, probe, horizon, to_lift, label, child_seed)
+        for label, child_seed, probe in _lift_probes(
+            space, candidates, probes_per_cell, seed, d_idx, f"delta{delta:.6g}/"
+        ):
+            record = _orbit_record(system, probe, horizon, lift.distance, label, child_seed)
             records.append(record)
             worst = cell_worst.get(delta)
             if worst is None or record.sup_distance > worst.sup_distance:
@@ -382,25 +368,14 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
 def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
                      probes: int, seed: int = 0, tol: float = 0.0) -> StabilityReport:
     """Do all orbits started in the eps-lift-neighborhood fall back into the lift?"""
-    A = frozenset(A)
-    if not system.is_invariant_set(A):
-        raise NotInvariant("probe target must satisfy f(A) within A")
+    A = _invariant_target(system, A)
     space = system.space
     candidates = space.neighborhood(A, eps, closed=True)
-    probe_list = [
-        (f"point{x}", None, point_mass(space, x)) for x in sorted(candidates)
-    ]
-    for k in range(probes):
-        child_seed = seed * 1_000_003 + k
-        rng = random.Random(child_seed)
-        probe_list.append(
-            (f"sample{k}", child_seed, _sample_lift_probe(rng, space, candidates))
-        )
-    to_lift = _lift_distance(space, A)
+    lift = LiftedSet(space, A)
     records = []
     witness = None
-    for label, child_seed, probe in probe_list:
-        record = _orbit_record(system, probe, horizon, to_lift, label, child_seed)
+    for label, child_seed, probe in _lift_probes(space, candidates, probes, seed):
+        record = _orbit_record(system, probe, horizon, lift.distance, label, child_seed)
         records.append(record)
         if min(record.distances) > tol and witness is None:
             witness = record
@@ -417,9 +392,7 @@ def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
 def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityReport:
     """Exact attractor check: the neighborhood must re-enter itself and its
     forward intersection must come back to exactly A."""
-    A = frozenset(A)
-    if not system.is_invariant_set(A):
-        raise NotInvariant("probe target must satisfy f(A) within A")
+    A = _invariant_target(system, A)
     space = system.space
     U = space.neighborhood(A, eps)
     reentry = None
@@ -447,30 +420,24 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
     ]
     if reentry is None:
         point = min(system.image_of_set(U, n_max) - U, default=min(U))
-        witness = _orbit_record(
-            system, point_mass(space, point), n_max,
-            _lift_distance(space, A), f"escape/point{point}", None,
-        )
-        verdict = UNSTABLE
+        label = f"escape/point{point}"
         notes.append(f"no n <= {n_max} with f^n(U) inside U")
     elif intersection != A:
-        stray = min(intersection ^ A)
-        witness = _orbit_record(
-            system, point_mass(space, stray), n_max,
-            _lift_distance(space, A), f"intersection/point{stray}", None,
-        )
-        verdict = UNSTABLE
+        point = min(intersection ^ A)
+        label = f"intersection/point{point}"
         notes.append("forward intersection of the neighborhood differs from the set")
     else:
-        witness = None
-        verdict = STABLE
+        label = None
         notes.append(f"f^{reentry}(U) inside U; forward intersection equals the set")
+    witness = None if label is None else _orbit_record(
+        system, point_mass(space, point), n_max, LiftedSet(space, A).distance, label, None
+    )
     return StabilityReport(
         notion="attractor",
         params={"set": sorted(A), "eps": eps, "n_max": n_max,
                 "neighborhood": sorted(U), "reentry": reentry,
                 "intersection": sorted(intersection)},
-        verdict=verdict,
+        verdict=STABLE if witness is None else UNSTABLE,
         witness=witness,
         records=(),
         notes=tuple(notes),
@@ -498,9 +465,7 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
                       r2_floor: float = 0.99) -> StabilityReport:
     """Fit a decay rate to the Hausdorff distance of shrinking closed
     neighborhoods; stable when every tested neighborhood decays geometrically."""
-    A = frozenset(A)
-    if not system.is_invariant_set(A):
-        raise NotInvariant("probe target must satisfy f(A) within A")
+    A = _invariant_target(system, A)
     space = system.space
     fits = {}
     witness = None
@@ -513,8 +478,7 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         h = []
         current = U
         for n in range(horizon + 1):
-            # lift_hausdorff checks the base value against the lifted one.
-            h.append(lift_hausdorff(space, A, current) if current != A else 0.0)
+            h.append(hausdorff(space, A, current))
             current = system.image_of_set(current)
         record = ProbeRecord(
             label=f"delta{delta:.6g}/neighborhood",
@@ -547,8 +511,8 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         verdict=STABLE if stable else UNSTABLE,
         witness=witness,
         records=tuple(records),
-        notes=("hausdorff distances along the orbit equal their lifted "
-               "counterparts (identity checked each step)",),
+        notes=("hausdorff distances along the orbit equal those of the lifts "
+               "(lift identity, checked against the solver in the test suite)",),
     )
 
 

@@ -427,7 +427,19 @@ def test_stability_exponential_cli(capsys):
      "--horizon must be >= 0, got -1"),
     (["--scenario", "sink_source", "--notion", "attractor", "--set", "sink", "--n-max", "0"],
      "--n-max must be >= 1, got 0"),
-], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max"])
+    (["--scenario", "sink_source", "--notion", "lyapunov", "--set", "sink", "--probes=-1"],
+     "--probes must be >= 0, got -1"),
+    (["--scenario", "sink_source", "--notion", "asymptotic", "--set", "sink", "--tol=-1"],
+     "--tol must be finite and >= 0, got -1.0"),
+    (["--scenario", "sink_source", "--notion", "lyapunov", "--set", "sink", "--eps", "nan"],
+     "--eps must be finite and > 0, got nan"),
+    (["--scenario", "torus", "--grid-n", "8", "--notion", "exponential", "--set", "row1",
+      "--eps", "0.5", "--delta", "0"],
+     "--delta must be finite and > 0, got 0.0"),
+    (["--scenario", "sink_source", "--d-xy=-1", "--notion", "attractor", "--set", "sink"],
+     "--d-xy must be finite and > 0, got -1.0"),
+], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max", "negative-probes",
+        "negative-tol", "nan-eps", "zero-delta", "negative-d-xy"])
 def test_stability_bad_arguments_exit_2_with_their_own_message(capsys, flags, message):
     assert main(["stability"] + flags) == 2
     captured = capsys.readouterr()

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bottleneck_ot.fileio import (
     MalformedInput,
@@ -15,7 +17,9 @@ from bottleneck_ot.fileio import (
     space_to_obj,
 )
 from bottleneck_ot.measures import make_measure
-from bottleneck_ot.spaces import build_space, same_space
+from bottleneck_ot.spaces import METRIC_RULES, build_space, same_space
+
+from test_transport_properties import PROPERTY_SETTINGS, measures, spaces
 
 
 def test_space_round_trip_euclidean():
@@ -36,6 +40,20 @@ def test_measure_round_trip():
     mu = make_measure(space, [(0, Fraction(2, 7)), (1, Fraction(5, 7))])
     again = parse_measure(measure_to_obj(mu))
     assert again == mu
+
+
+@pytest.mark.parametrize("rule", METRIC_RULES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_measure_objects_round_trip(rule, data):
+    # In memory and through JSON text: labels, rule, coordinates or matrix,
+    # and exact weights all survive.
+    space = data.draw(spaces(rule))
+    mu = data.draw(measures(space, probability=data.draw(st.booleans())))
+    obj = measure_to_obj(mu)
+    for again in (parse_measure(obj), parse_measure(json.loads(json.dumps(obj)))):
+        assert again == mu
+        assert again.space == mu.space
 
 
 def test_measure_file_loading(tmp_path):

@@ -5,7 +5,9 @@ argv below, recorded from the implementation that computed every distance
 pairwise and rebuilt every measure weight (before the columnar rows and the
 measure fast path).  The flag sets are those of the benchmark's `torus`
 workload, one row each, at grid-n 16.  A change that alters any of these
-outputs has to replace the file on purpose.
+outputs has to replace the file on purpose.  The exponential note was
+rewritten once, when the per-step lifted recomputation of the Hausdorff
+distance was dropped; that string is the only edit to the recording.
 """
 from __future__ import annotations
 

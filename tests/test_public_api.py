@@ -14,7 +14,7 @@ PUBLIC = [
     "arrangement", "build_space", "check_feasibility", "convergence",
     "d_convergence_verdict", "decompose", "decomposition", "delta_sequence", "dist_to_lift",
     "epsilon_zero", "errors", "feasibility_by_flow", "feasible_at_threshold", "flows",
-    "hausdorff", "interval_representation", "lift_hausdorff", "make_measure", "measures",
+    "hausdorff", "interval_representation", "make_measure", "measures",
     "point_mass", "probe_asymptotic", "probe_attractor", "probe_exponential",
     "probe_lyapunov", "probe_measure_lyapunov", "pushforward", "scenario_sink_source",
     "scenario_torus_shear", "separating_mass_check", "separating_subsets", "spaces",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -46,6 +47,12 @@ def test_matrix_validation_catches_diagonal_and_triangle():
             "explicit-matrix",
             matrix=[[0, 1, 5], [1, 0, 1], [5, 1, 0]],
         )
+
+
+def test_negative_zero_matrix_entries_are_stored_as_zero():
+    space = build_space(["a", "b"], "explicit-matrix", matrix=[[-0.0, 1.0], [1.0, -0.0]])
+    assert [math.copysign(1.0, space.d(i, i)) for i in range(2)] == [1.0, 1.0]
+    assert math.copysign(1.0, hausdorff(space, [0], [0])) == 1.0
 
 
 def test_hausdorff_directed_example():

@@ -5,9 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bottleneck_ot.errors import (
-    EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, SolverInvariantError,
-)
+from bottleneck_ot.errors import EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, UnknownAtom
 from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space, hausdorff
 from bottleneck_ot.stability import (
@@ -16,7 +14,6 @@ from bottleneck_ot.stability import (
     LiftedSet,
     MapSystem,
     dist_to_lift,
-    lift_hausdorff,
     measure_from_frozen,
     probe_asymptotic,
     probe_attractor,
@@ -82,16 +79,21 @@ def test_dist_to_lift_closed_form_matches_grid_bruteforce(eight_point_space):
 
 
 def test_lift_hausdorff_identity(eight_point_space):
+    # The Hausdorff distance between two lifts equals that of the base sets.
+    # Each lift's farthest measure from the other lift is a point mass, so the
+    # lifted side is the largest solver-backed distance from a point mass of
+    # one set to the lift of the other; the two must agree bit for bit.
     space = eight_point_space
-    assert lift_hausdorff(space, [0, 1], [0, 1]) == 0.0
-    assert lift_hausdorff(space, [0], [1]) == space.d(0, 1)
     rng = random.Random(9)
-    for _ in range(20):
-        U = rng.sample(range(8), 3)
-        V = rng.sample(range(8), 3)
-        assert lift_hausdorff(space, U, V) == pytest.approx(
-            hausdorff(space, U, V), abs=1e-12
+    pairs = [([0, 1], [0, 1]), ([0], [1])]
+    pairs += [(rng.sample(range(8), rng.randint(1, 3)), rng.sample(range(8), 3))
+              for _ in range(20)]
+    for U, V in pairs:
+        lifted = max(
+            max(dist_to_lift_bruteforce(point_mass(space, u), V, denominator=4) for u in U),
+            max(dist_to_lift_bruteforce(point_mass(space, v), U, denominator=4) for v in V),
         )
+        assert hausdorff(space, U, V) == lifted, (U, V)
 
 
 def test_lift_algebra_membership(eight_point_space):
@@ -113,6 +115,12 @@ def test_lift_algebra_membership(eight_point_space):
         assert (A.contains(nu) and C.contains(nu)) == (nu.support() <= both)
     # Point-set distance characterizes containment of the base sets.
     assert all(dist_to_lift(point_mass(space, x), B.atoms) == 0.0 for x in A.atoms)
+    for _ in range(20):
+        nu = random_probability_measure(rng, space, max_atoms=3)
+        assert C.distance(nu) == max(space.set_distance(x, C.atoms) for x in nu.support())
+        assert (C.distance(nu) == 0.0) == C.contains(nu)
+    with pytest.raises(EmptySet):
+        LiftedSet(space, frozenset())
 
 
 def test_pushforward_of_lift_is_lift_of_image(eight_point_space):
@@ -362,16 +370,27 @@ def test_exponential_one_step_collapse():
     assert report.params["fits"]["1.5"]["collapsed"]
 
 
-def test_exponential_checks_the_lift_identity_each_step(monkeypatch):
-    # The report's note says the lifted Hausdorff distance was checked against
-    # the base one at every step: a lifted route that disagrees must raise.
-    from bottleneck_ot import stability
+def test_exponential_records_the_hausdorff_distance_of_each_image():
+    # Step n of a record is d_H(A, f^n(U)), 0.0 once the image is A itself.
+    ids = [f"p{k}" for k in range(7)]
+    coords = [[0.0]] + [[2.0 ** -(k - 1)] for k in range(1, 7)]
+    space = build_space(ids, "euclidean", coords=coords)
+    system = MapSystem.build(space, [0, 2, 3, 4, 5, 6, 0])
+    report = probe_exponential(system, {0}, eps=1.5, delta_grid=[0.3, 1.1], horizon=7)
+    for record in report.records:
+        U = [a for a, _, _ in record.weights]
+        expected = [hausdorff(space, {0}, system.image_of_set(U, n)) for n in range(8)]
+        assert list(record.distances) == expected
+        assert record.distances[-1] == 0.0
 
-    space = build_space(["a", "b"], "euclidean", coords=[[0.0], [1.0]])
-    system = MapSystem.build(space, [0, 0])
-    monkeypatch.setattr(stability, "dist_to_lift", lambda mu, atoms: 7.0)
-    with pytest.raises(SolverInvariantError):
-        probe_exponential(system, {0}, eps=2.0, delta_grid=[1.5], horizon=4)
+
+def test_map_system_build_takes_a_sequence_of_images():
+    space = build_space(["a", "b", "c"], "euclidean", coords=[[0.0], [1.0], [2.0]])
+    assert MapSystem.build(space, (2, 2, 0)).mapping == (2, 2, 0)
+    with pytest.raises(ValueError, match="cover every point"):
+        MapSystem.build(space, [0, 1])
+    with pytest.raises(UnknownAtom):
+        MapSystem.build(space, [0, 1, 3])
 
 
 def test_exponential_rotation_not_exponential():

@@ -6,7 +6,9 @@ from the tree before the scenario protocol replaced the per-scenario branches
 of `cli.cmd_stability`.  Every case is replayed in-process: exit code and
 stdout must match, and stderr too where it was recorded (it is not where it
 named a temporary file).  A change that alters any of them has to regenerate
-the file on purpose.
+the file on purpose.  It was last regenerated when the exponential note was
+rewritten (the per-step lifted recomputation of the Hausdorff distance was
+dropped); that string is the only difference from the earlier recording.
 """
 from __future__ import annotations
 
