@@ -5,14 +5,17 @@ iff it converges weakly AND the mass of every separating set is eventually
 exactly right in a small neighborhood.  On finite prefixes no limit statement
 is provable, so verdicts are evidence-qualified: "consistent with" on full
 agreement, a concrete witness (criterion, index, set) for refutation, and
-Inconclusive otherwise.
+Inconclusive otherwise.  Separating-mass checks compare integers: the limit
+and every term are scaled once to one common denominator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .errors import EpsilonTooLarge, MalformedInput, NotProbability, SpaceMismatch, SupportTooLarge
+from .flows import scale_masses
 from .measures import DiscreteMeasure
 from .spaces import hausdorff, same_space
 from .transport import w_infinity, w_p
@@ -49,6 +52,16 @@ class MeasureSequence:
 
     def __len__(self):
         return len(self.terms)
+
+    @cached_property
+    def integer_masses(self):
+        """``(limit, terms)``: the masses of the limit and of each term times
+        one common denominator, as ``atom -> int`` dicts.  Under one
+        denominator, equal integer sums are equal masses."""
+        measures = (self.limit, *self.terms)
+        _, scaled = scale_masses(*(m.weights.values() for m in measures))
+        limit, *terms = (dict(zip(m.weights, ints)) for m, ints in zip(measures, scaled))
+        return limit, tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -93,17 +106,22 @@ class MassCheckOutcome:
 def separating_mass_check(sequence: MeasureSequence, sep: SeparatingSet,
                           epsilon: float) -> MassCheckOutcome:
     """Least index from which every term carries exactly the limit's mass on the
-    open epsilon-neighborhood of the set; failure keeps the last violating index."""
+    open epsilon-neighborhood of the set; failure keeps the last violating index.
+
+    Masses are compared as integers under the sequence's common denominator
+    (``MeasureSequence.integer_masses``), which is the same test as on the
+    ``Fraction`` masses.
+    """
     if not 0 < epsilon < sep.clearance:
         raise EpsilonTooLarge(
             f"epsilon must lie strictly inside (0, {sep.clearance})"
         )
-    space = sequence.space
-    neighborhood = space.neighborhood(sep.atoms, epsilon)
-    target = sequence.limit(sep.atoms)
+    neighborhood = sequence.space.neighborhood(sep.atoms, epsilon)
+    limit, terms = sequence.integer_masses
+    target = sum(limit.get(a, 0) for a in sep.atoms)
     violations = [
-        n for n, term in enumerate(sequence.terms)
-        if term(neighborhood) != target
+        n for n, term in enumerate(terms)
+        if sum(map(term.__getitem__, neighborhood.intersection(term))) != target
     ]
     if not violations:
         return MassCheckOutcome(True, 0, None)

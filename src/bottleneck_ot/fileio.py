@@ -55,13 +55,19 @@ def space_to_obj(space: FiniteMetricSpace):
     }
 
 
+def _fraction(obj) -> Fraction:
+    """``num/den`` of a file object; a zero or negative ``den`` is rejected
+    (Fraction would fold -1/-2 into 1/2)."""
+    num, den = int(obj["num"]), int(obj["den"])
+    if den <= 0:
+        raise ValueError(f"den must be positive, got {den}")
+    return Fraction(num, den)
+
+
 def parse_weights(space: FiniteMetricSpace, entries) -> DiscreteMeasure:
     try:
-        pairs = [
-            (space.index_of(e["atom"]), Fraction(int(e["num"]), int(e["den"])))
-            for e in entries
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        pairs = [(space.index_of(e["atom"]), _fraction(e)) for e in entries]
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad weights array: {exc}") from exc
     try:
         return make_measure(space, pairs)
@@ -131,8 +137,8 @@ def parse_instance(obj) -> DecompositionInstance:
             frozenset(xi.space.index_of(pid) for pid in block)
             for block in obj["sets"]
         ]
-        targets = [Fraction(int(t["num"]), int(t["den"])) for t in obj["targets"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        targets = [_fraction(t) for t in obj["targets"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad instance object: {exc}") from exc
     return DecompositionInstance.build(xi, sets, targets)
 

@@ -479,7 +479,8 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         current = U
         for n in range(horizon + 1):
             h.append(hausdorff(space, A, current))
-            current = system.image_of_set(current)
+            if n < horizon:
+                current = system.image_of_set(current)
         record = ProbeRecord(
             label=f"delta{delta:.6g}/neighborhood",
             seed=None,

@@ -4,11 +4,15 @@ The bottleneck value between finitely supported probability measures is the
 smallest threshold t, among the pairwise support distances, at which a coupling
 confined to pairs within distance t exists.  Feasibility is an exact max-flow
 question with rational capacities, so the returned value is always a verbatim
-entry of the distance matrix (or 0) and never a rounded quantity.
+entry of the distance matrix (or 0) and never a rounded quantity.  The search
+over thresholds starts at the singleton-Hall bound (Hall 1935; Gale 1957):
+below it a single atom's mass cannot be covered, and it is most often the
+value, so most solves take one max flow.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,23 +144,52 @@ def candidate_thresholds(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[float
     return sorted({0.0}.union(*_Bipartite(mu, nu).table))
 
 
+def _singleton_hall_bound(net: _Bipartite) -> float:
+    """Largest, over single atoms of either side, of the least threshold at
+    which the other side's mass within it covers the atom's mass.
+
+    Below it one atom violates Hall's condition, so no coupling exists; it is
+    a table entry (or 0).  A row whose mass is already covered within the
+    running maximum cannot raise it and is not sorted.
+    """
+    bound = 0.0
+    for rows, needs, offers in (
+        (net.table, net.supply, net.demand),
+        (zip(*net.table), net.demand, net.supply),
+    ):
+        for row, need in zip(rows, needs):
+            if sum(m for d, m in zip(row, offers) if d <= bound) >= need:
+                continue
+            got = 0
+            for d, m in sorted(zip(row, offers)):
+                got += m
+                if got >= need:
+                    bound = d
+                    break
+    return bound
+
+
 def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
     """Bottleneck transport value with an optimal plan as witness.
 
     Binary search over the sorted distinct distances: feasibility is monotone
-    in the threshold and the optimum is attained at a matrix entry.  Masses
-    and distances are read once; each probe builds its network from them.
+    in the threshold and the optimum is attained at a matrix entry.  The
+    search starts at the singleton-Hall bound, which it probes first because
+    it is most often the value; ``feasibility_calls`` counts the probes from
+    there, so it is 1 when the bound is the value.  Masses and distances are
+    read once; each probe builds its network from them.  The plan is always
+    the max flow at exactly the optimal threshold.
     """
     _require_comparable(mu, nu)
     net = _Bipartite(mu, nu)
     thresholds = sorted({0.0}.union(*net.table))
-    lo, hi = 0, len(thresholds) - 1
+    lo, hi = bisect_left(thresholds, _singleton_hall_bound(net)), len(thresholds) - 1
+    mid = lo
     calls = 0
     witness = None  # (pairs, flows) of the smallest feasible threshold probed
     # The largest threshold admits the full bipartite graph and is always
     # feasible for probability measures, so the search space is never empty.
     while lo < hi:
-        mid = (lo + hi) // 2
         value, pairs, flows = _flow_at_threshold(net, thresholds[mid])
         calls += 1
         if value == net.total:
@@ -164,6 +197,7 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
             witness = pairs, flows
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     if witness is None:  # only the largest threshold is left, and it was not probed
         value, pairs, flows = _flow_at_threshold(net, thresholds[lo])
         calls += 1

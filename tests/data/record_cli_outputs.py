@@ -1,10 +1,15 @@
-"""Record the `stability` CLI matrix pinned by tests/test_stability_cli_outputs.py.
+"""Record the CLI matrices pinned by the golden-output tests.
 
-Run it against a source tree, normally an unpacked copy of the parent commit
-(`git archive <rev> | tar -x -C <dir>`), to regenerate the golden file:
+There are two matrices: `stability` (tests/test_stability_cli_outputs.py)
+and `transport`, the `converge` and `dist --p 1 --plan` runs pinned by
+tests/test_transport_cli_outputs.py.  Run it against a source tree, normally
+an unpacked copy of the parent commit (`git archive <rev> | tar -x -C <dir>`),
+to regenerate a golden file:
 
     python tests/data/record_cli_outputs.py --src <dir> \
         --out tests/data/stability_cli_outputs.json
+    python tests/data/record_cli_outputs.py --src <dir> --matrix transport \
+        --out tests/data/transport_cli_outputs.json
 
 Each argv runs in-process through `bottleneck_ot.cli.main`.  The input files
 it needs are written to a temporary directory; argv entries refer to them as
@@ -18,8 +23,11 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 TWO_POINTS = {"points": ["x", "y"], "metric": "euclidean", "coords": [[0.0], [1.0]]}
@@ -145,16 +153,117 @@ def _cases():
     return cases
 
 
-def record(src: Path) -> dict:
+# ---------------------------------------------------------------- transport
+#
+# Seeded sequences of three classes for `converge`, and measure pairs at
+# support 24-64 for `dist --p 1 --plan`, on all three metric rules.
+
+CONVERGE_CLASSES = ("eventually_equal", "vanishing_atom", "approaching")
+
+
+def _weights(labels, masses):
+    return [{"atom": a, "num": w.numerator, "den": w.denominator}
+            for a, w in zip(labels, masses)]
+
+
+def _random_masses(rng, k):
+    raw = [rng.randint(1, 8) for _ in range(k)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def _sequence(rng, k, n_terms, cls):
+    """A sequence whose limit sits on L0..L(k-1), 0.08 or more apart.
+
+    * eventually_equal: L0's mass sits on L1 for the first half, then every
+      term is the limit;
+    * vanishing_atom: 2^-(n+3) of L0's mass sits on the far point z;
+    * approaching: L0's mass sits on A_n, which approaches L0 geometrically.
+    """
+    gap = 0.08
+    pts = [(0.5, 0.5), (0.5 - gap, 0.5)]
+    while len(pts) < k:
+        p = (rng.random(), rng.random())
+        if abs(p[1] - 0.5) > 2 * gap and all(math.dist(p, q) >= 1.5 * gap for q in pts):
+            pts.append(p)
+    n0 = n_terms // 2
+    approach = [(0.5 + gap / 2 * 0.8 ** (n - n0 + 0.5), 0.5) for n in range(n_terms)]
+    labels = [f"L{i}" for i in range(k)] + ["z"] + [f"A{n}" for n in range(n_terms)]
+    coords = [list(p) for p in pts] + [[4.0, 4.0]] + [list(p) for p in approach]
+    masses = _random_masses(rng, k)
+    limit = _weights(labels[:k], masses)
+    terms = []
+    for n in range(n_terms):
+        if cls == "eventually_equal":
+            moved = [Fraction(0), masses[0] + masses[1], *masses[2:]]
+            terms.append(_weights(labels[:k], moved) if n < n0 else limit)
+        elif cls == "vanishing_atom":
+            stray = masses[0] / (1 << (n + 3))
+            terms.append(_weights(["L0", "z"], [masses[0] - stray, stray]) + limit[1:])
+        else:
+            terms.append(_weights([f"A{n}"], masses[:1]) + limit[1:])
+    space = {"points": labels, "metric": "euclidean", "coords": coords}
+    return {"space": space, "terms": terms, "limit": limit}
+
+
+def _pair_space(rng, rule, n_points):
+    labels = [f"p{i}" for i in range(n_points)]
+    if rule == "matrix":
+        # Manhattan distances of distinct integer points: a metric with many ties.
+        cells = rng.sample([(x, y) for x in range(12) for y in range(12)], n_points)
+        matrix = [[float(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in cells] for a in cells]
+        return {"points": labels, "metric": "matrix", "matrix": matrix}
+    coords = [[rng.random(), rng.random()] for _ in range(n_points)]
+    return {"points": labels, "metric": rule, "coords": coords}
+
+
+def _measure(rng, space, support):
+    atoms = rng.sample(space["points"], support)
+    return {"space": space, "weights": _weights(atoms, _random_masses(rng, support))}
+
+
+def _transport_matrix():
+    """Files are stored as compact JSON text, which the recording writes as is."""
+    rng = random.Random(20261018)
+    files, cases = {}, []
+    for rep in range(3):  # each class once at each limit support
+        for k, n_terms, cls in ((3, 8, CONVERGE_CLASSES[rep]), (5, 12, CONVERGE_CLASSES[rep - 1]),
+                                (8, 16, CONVERGE_CLASSES[rep - 2])):
+            name = f"sequence_{cls}_k{k}_{rep}.json"
+            files[name] = json.dumps(_sequence(rng, k, n_terms, cls))
+            cases.append(["converge", f"{{dir}}/{name}"])
+            cases.append(["converge", f"{{dir}}/{name}", "--format", "json"])
+    for rule, n_points, supports in (("euclidean", 64, ((24, 24), (40, 32), (64, 64))),
+                                     ("torus", 48, ((24, 40), (48, 48))),
+                                     ("matrix", 40, ((24, 24), (24, 40)))):
+        space = _pair_space(rng, rule, n_points)
+        for a, b in supports:
+            name = f"{rule}_{a}x{b}"
+            files[f"{name}_a.json"] = json.dumps(_measure(rng, space, a))
+            files[f"{name}_b.json"] = json.dumps(_measure(rng, space, b))
+            argv = ["dist", f"{{dir}}/{name}_a.json", f"{{dir}}/{name}_b.json", "--p", "1", "--plan"]
+            cases.append(argv)
+            if a == b:
+                cases.append(argv + ["--format", "json"])
+    return files, cases
+
+
+MATRICES = {
+    "stability": (lambda: (FILES, _cases()), "stability_cli_outputs.json"),
+    "transport": (_transport_matrix, "transport_cli_outputs.json"),
+}
+
+
+def record(src: Path, matrix: str = "stability") -> dict:
     sys.path.insert(0, str(src / "src"))
     from bottleneck_ot import cli
 
+    files, argvs = MATRICES[matrix][0]()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, obj in FILES.items():
+        for name, obj in files.items():
             text = obj if isinstance(obj, str) else json.dumps(obj)
             (Path(tmp) / name).write_text(text)
         cases = []
-        for argv in _cases():
+        for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
@@ -165,17 +274,19 @@ def record(src: Path) -> dict:
                 "stdout": out.getvalue(),
                 "stderr": None if tmp in stderr else stderr,
             })
-    return {"files": FILES, "cases": cases}
+    return {"files": files, "cases": cases}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="source tree whose src/bottleneck_ot is recorded")
+    parser.add_argument("--matrix", choices=sorted(MATRICES), default="stability")
     parser.add_argument("--out", type=Path,
-                        default=Path(__file__).with_name("stability_cli_outputs.json"))
+                        help="golden file to write (default: the matrix's file beside this script)")
     args = parser.parse_args()
-    args.out.write_text(json.dumps(record(args.src.resolve()), indent=1) + "\n")
+    out = args.out or Path(__file__).with_name(MATRICES[args.matrix][1])
+    out.write_text(json.dumps(record(args.src.resolve(), args.matrix), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space, hausdorff
 from bottleneck_ot.transport import (
     TransportPlan,
+    _Bipartite,
+    _singleton_hall_bound,
     candidate_thresholds,
     feasible_at_threshold,
     w_infinity,
@@ -101,6 +103,22 @@ def test_w_infinity_plan_is_exact_witness():
         report = w_infinity(mu, nu)
         assert report.plan.bottleneck() == report.value
         assert report.value in set(candidate_thresholds(mu, nu))
+
+
+def test_w_infinity_searches_past_the_singleton_hall_bound():
+    # Every single atom is covered within sqrt(2), but the two right-hand
+    # sources (2/3 of the mass) reach only the 1/2 at (3, 0) there.
+    cells = [(0, 0), (0, 1), (3, 0), (2, 1)]
+    space = build_space(["a", "b", "c", "d"], "euclidean",
+                        coords=[[float(x), float(y)] for x, y in cells])
+    third = Fraction(1, 3)
+    mu = make_measure(space, [(0, third), (2, third), (3, third)])
+    nu = make_measure(space, [(0, Fraction(1, 6)), (1, third), (2, Fraction(1, 2))])
+    assert _singleton_hall_bound(_Bipartite(mu, nu)) == space.d(2, 3) == 2 ** 0.5
+    report = w_infinity(mu, nu)
+    assert report.value == w_infinity_bruteforce(mu, nu) == space.d(1, 3) == 2.0
+    assert report.feasibility_calls > 1
+    assert report.plan.bottleneck() == 2.0
 
 
 def test_bruteforce_oracle_small_cases(line):

@@ -3,7 +3,10 @@
 
 The value must equal the oracle's bit for bit, and the plan must be an exact
 witness: positive masses, marginals equal to both measures as rationals, and
-a largest edge equal to the value.  Coordinates sit on a coarse grid and
+a largest edge equal to the value.  The search starts at the singleton-Hall
+bound: the bound must never exceed the value, one probe must suffice when it
+equals the value, and the plan must be the exact max flow at the value, the
+witness a plain bisection ends with.  Coordinates sit on a coarse grid and
 matrix entries take few values, so equal distances (ties) are common.
 """
 from __future__ import annotations
@@ -16,7 +19,13 @@ from hypothesis import strategies as st
 
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import METRIC_RULES, build_space
-from bottleneck_ot.transport import w_infinity, w_infinity_bruteforce
+from bottleneck_ot.transport import (
+    _Bipartite,
+    _flow_at_threshold,
+    _singleton_hall_bound,
+    w_infinity,
+    w_infinity_bruteforce,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 ORACLE_CAP = 36  # w_infinity_bruteforce accepts |supp mu| * |supp nu| <= 36
@@ -72,3 +81,22 @@ def test_w_infinity_equals_the_oracle_with_an_exact_witness(rule, data):
     assert rows == dict(mu.weights)
     assert cols == dict(nu.weights)
     assert max(space.d(i, j) for i, j, _ in report.plan.entries) == report.value
+
+
+@pytest.mark.parametrize("rule", METRIC_RULES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_w_infinity_search_starts_at_a_lower_bound(rule, data):
+    space = data.draw(spaces(rule))
+    mu = data.draw(measures(space))
+    nu = data.draw(measures(space, max_atoms=ORACLE_CAP // len(mu.weights)))
+    report = w_infinity(mu, nu)
+    assert report.value == w_infinity_bruteforce(mu, nu)
+    net = _Bipartite(mu, nu)
+    bound = _singleton_hall_bound(net)
+    assert bound <= report.value
+    if bound == report.value:
+        assert report.feasibility_calls == 1
+    value, pairs, flows = _flow_at_threshold(net, report.value)
+    assert value == net.total
+    assert report.plan.entries == net.entries(pairs, flows)
