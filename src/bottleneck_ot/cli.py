@@ -22,12 +22,12 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import fileio
 from .convergence import CONSISTENT, NOT_CONVERGENT, d_convergence_verdict
 from .decomposition import check_feasibility, decompose, verify_decomposition
 from .errors import BottleneckOTError, InfeasibleInstance, MalformedInput, SolverInvariantError, SpaceMismatch
-from .fileio import fraction_str
 from .spaces import hausdorff
 from .stability import (
     STABLE,
@@ -85,7 +85,7 @@ def _plan_rows(plan):
         (
             str(ids[i]),
             str(ids[j]),
-            fraction_str(mass),
+            str(mass),
             _fmt(plan.mu.space.d(i, j)),
         )
         for i, j, mass in plan.entries
@@ -129,7 +129,7 @@ def cmd_decompose(args) -> int:
         ids = instance.xi.space.point_ids
         for k, nu in enumerate(result.components):
             parts = ", ".join(
-                f"{ids[a]}: {fraction_str(w)}" for a, w in sorted(nu.weights.items())
+                f"{ids[a]}: {w}" for a, w in sorted(nu.weights.items())
             )
             sys.stdout.write(f"nu_{k + 1} {{{parts}}}\n")
         sys.stdout.write(
@@ -327,7 +327,9 @@ def cmd_stability(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bottleneck-ot",
         description=__doc__,

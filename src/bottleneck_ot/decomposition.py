@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from operator import add
 
 from .errors import CasePreconditionViolated, InfeasibleInstance, MalformedInput, SolverInvariantError, TooManySets
 from .flows import max_flow, scale_masses
-from .measures import ZERO, DiscreteMeasure, as_fraction, make_measure
+from .measures import ZERO, DiscreteMeasure, make_measure
 
 FEASIBILITY_CAP = 14
 DECOMPOSE_CAP = 12
@@ -51,7 +50,7 @@ class DecompositionInstance:
     @classmethod
     def build(cls, xi: DiscreteMeasure, sets, targets) -> "DecompositionInstance":
         sets = tuple(frozenset(xi.space.check_atom(a) for a in s) for s in sets)
-        targets = tuple(as_fraction(t) for t in targets)
+        targets = tuple(Fraction(t) for t in targets)
         if len(sets) != len(targets) or not sets:
             raise MalformedInput("need m >= 1 sets with matching targets")
         if any(t < 0 for t in targets):
@@ -131,12 +130,13 @@ def _slack_table(weights, sets, targets):
     union of the sets in S holds the covered mass not inside the complement of
     S, so slack[S] = covered - inside[~S] - (targets summed over S).
     """
-    den = lcm(*(w.denominator for w in weights.values()), *(t.denominator for t in targets))
+    den, (masses, targets) = scale_masses(weights.values(), targets)
+    scaled = dict(zip(weights, masses))
     n = 1 << len(sets)
     inside = [0] * n
     cells = {}
     for mask, atoms in _cells(weights, sets).items():
-        mass = sum(weights[a].numerator * (den // weights[a].denominator) for a in atoms)
+        mass = sum(scaled[a] for a in atoms)
         cells[mask] = (mass, atoms)
         inside[mask] = mass
     covered = sum(inside)
@@ -152,7 +152,6 @@ def _slack_table(weights, sets, targets):
     # 2^i, then the same masks with bit i added.
     tsum = [0]
     for t in targets:
-        t = t.numerator * (den // t.denominator)
         tsum += [s + t for s in tsum]
     return den, cells, [covered - c - t for c, t in zip(reversed(inside), tsum)]
 

@@ -56,9 +56,13 @@ def space_to_obj(space: FiniteMetricSpace):
 
 
 def _fraction(obj) -> Fraction:
-    """``num/den`` of a file object; a zero or negative ``den`` is rejected
+    """``num/den`` of a file object.  Both must be JSON integers: a float, a
+    string or a boolean is rejected, and so is a zero or negative ``den``
     (Fraction would fold -1/-2 into 1/2)."""
-    num, den = int(obj["num"]), int(obj["den"])
+    num, den = obj["num"], obj["den"]
+    for name, value in (("num", num), ("den", den)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if den <= 0:
         raise ValueError(f"den must be positive, got {den}")
     return Fraction(num, den)
@@ -163,10 +167,6 @@ def parse_system(obj) -> MapSystem:
 
 def load_system_file(path) -> MapSystem:
     return parse_system(load_json(path))
-
-
-def fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def dumps_sorted(obj) -> str:

@@ -18,11 +18,6 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-def as_fraction(value) -> Fraction:
-    f = Fraction(value)
-    return f
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Atoms (point indices) with strictly positive rational weights."""
@@ -138,7 +133,7 @@ class IntervalRepresentation:
     pieces: tuple  # ((Fraction start, Fraction end, int atom), ...)
 
     def value_at(self, t: Fraction) -> int:
-        t = as_fraction(t)
+        t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("argument outside [0, 1]")
         for start, end, atom in self.pieces:

@@ -34,16 +34,19 @@ UNSTABLE = "UnstableWitness"
 INCONCLUSIVE = "Inconclusive"
 
 
+def _steps(n: int) -> range:
+    """The n single steps of an n-fold application."""
+    if n < 0:
+        raise ValueError("iterates are defined for n >= 0")
+    return range(n)
+
+
 @dataclass(frozen=True)
 class MapSystem:
-    """A total map on a finite space, with iterates memoised per instance."""
+    """A total map on a finite space; ``n`` applications are n single steps."""
 
     space: FiniteMetricSpace
     mapping: tuple  # mapping[i] is the image atom of atom i
-    _iterates: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_iterates", {1: self.mapping})
 
     @classmethod
     def build(cls, space: FiniteMetricSpace, mapping) -> "MapSystem":
@@ -52,32 +55,21 @@ class MapSystem:
             raise ValueError("mapping must cover every point")
         return cls(space, tuple(space.check_atom(mapping[i]) for i in range(space.n_points)))
 
-    def iterate(self, n: int) -> tuple:
-        """The table of f^n, by repeated squaring; threads that race on an
-        iterate compute the same table."""
-        if n < 0:
-            raise ValueError("iterates are defined for n >= 0")
-        table = self._iterates.get(n)
-        if table is None:
-            if n == 0:
-                table = tuple(range(len(self.mapping)))
-            else:
-                half = self.iterate(n // 2)
-                table = tuple(half[v] for v in half)
-                if n % 2:
-                    table = tuple(self.mapping[v] for v in table)
-            self._iterates[n] = table
-        return table
-
     def apply_point(self, atom: int, n: int = 1) -> int:
-        return self.iterate(n)[atom]
+        for _ in _steps(n):
+            atom = self.mapping[atom]
+        return atom
 
     def image_of_set(self, atoms, n: int = 1) -> frozenset:
-        table = self.iterate(n)
-        return frozenset(table[a] for a in atoms)
+        image = frozenset(atoms)
+        for _ in _steps(n):
+            image = frozenset(map(self.mapping.__getitem__, image))
+        return image
 
     def push(self, mu: DiscreteMeasure, n: int = 1) -> DiscreteMeasure:
-        return pushforward(mu, self.iterate(n).__getitem__)
+        for _ in _steps(n):
+            mu = pushforward(mu, self.mapping.__getitem__)
+        return mu
 
     def is_invariant_set(self, atoms) -> bool:
         atoms = frozenset(atoms)
@@ -110,14 +102,18 @@ class LiftedSet:
         return mu.support() <= self.atoms
 
     def distance(self, mu: DiscreteMeasure) -> float:
-        """Bottleneck distance from ``mu`` to the lift.
+        """Bottleneck distance from ``mu`` to the lift."""
+        return self.support_distance(mu.weights)
+
+    def support_distance(self, atoms) -> float:
+        """Bottleneck distance to the lift from any measure whose support is
+        ``atoms``.
 
         Closed form: the farthest support atom decides, because every atom's
         mass must travel into the set and nothing caps how the set's measures
         spread.  Checked against the solver in the test suite.
         """
-        to_set = self._to_set
-        return max(to_set[a] for a in mu.weights)
+        return max(map(self._to_set.__getitem__, atoms))
 
 
 def dist_to_lift(mu: DiscreteMeasure, atoms) -> float:
@@ -183,20 +179,22 @@ def _random_weights(rng: random.Random, n_atoms: int) -> list:
     return [Fraction(bounds[k + 1] - bounds[k], denominator) for k in range(n_atoms)]
 
 
-def _orbit_record(system: MapSystem, probe: DiscreteMeasure, horizon: int,
-                  distance_fn, label: str, seed: int | None,
+def _orbit_record(step, start, horizon: int, distance_fn, label: str,
+                  seed: int | None, weights: tuple,
                   allowance: float | None = None) -> ProbeRecord:
+    """The record of the orbit of ``start`` under ``step``: ``distance_fn`` at
+    steps 0..horizon, for the probe of frozen ``weights``."""
     distances = []
-    current = probe
+    current = start
     for n in range(horizon + 1):
         distances.append(distance_fn(current))
         if n < horizon:
-            current = system.push(current)
+            current = step(current)
     sup = max(distances)
     return ProbeRecord(
         label=label,
         seed=seed,
-        weights=_freeze_weights(probe),
+        weights=weights,
         distances=tuple(distances),
         sup_distance=sup,
         argmax_step=distances.index(sup),
@@ -204,22 +202,34 @@ def _orbit_record(system: MapSystem, probe: DiscreteMeasure, horizon: int,
     )
 
 
-def _lift_probes(space: FiniteMetricSpace, candidates, samples: int, seed: int,
-                 d_idx: int = 0, prefix: str = ""):
-    """(label, seed, probe): a point mass at each candidate, then ``samples``
-    measures of one to three candidate atoms, each drawn from its own seed."""
+def _child_seed(seed: int, d_idx: int, k: int) -> int:
+    """The seed of sample k in the cell of the d_idx-th delta."""
+    return seed * 1_000_003 + d_idx * 1_009 + k
+
+
+def _lift_records(system: MapSystem, lift: LiftedSet, candidates, samples: int,
+                  seed: int | None, horizon: int, d_idx: int = 0, prefix: str = ""):
+    """Records of lift probes: a point mass at each candidate, then ``samples``
+    measures of one to three candidate atoms, each drawn from its own seed.
+
+    Each probe walks its support with ``image_of_set``: supp(f#mu) is
+    f(supp mu), because pushed weights stay positive, and the lift distance
+    reads only the support.
+    """
     if samples and not candidates:
         raise EmptySet("no point within the probe radius to sample from")
     pool = sorted(candidates)
-    for x in pool:
-        yield f"{prefix}point{x}", None, point_mass(space, x)
+    probes = [(f"{prefix}point{x}", None, ((x, 1, 1),)) for x in pool]
     for k in range(samples):
-        child_seed = seed * 1_000_003 + d_idx * 1_009 + k
+        child_seed = _child_seed(seed, d_idx, k)
         rng = random.Random(child_seed)
         size = rng.randint(1, min(3, len(pool)))
         atoms = rng.sample(pool, size)
-        yield (f"{prefix}sample{k}", child_seed,
-               make_measure(space, list(zip(atoms, _random_weights(rng, size)))))
+        mu = make_measure(system.space, list(zip(atoms, _random_weights(rng, size))))
+        probes.append((f"{prefix}sample{k}", child_seed, _freeze_weights(mu)))
+    for label, child_seed, weights in probes:
+        yield _orbit_record(system.image_of_set, frozenset(a for a, _, _ in weights), horizon,
+                            lift.support_distance, label, child_seed, weights)
 
 
 def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
@@ -232,11 +242,8 @@ def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
     records = []
     cell_worst: dict[float, ProbeRecord] = {}
     for d_idx, delta in enumerate(sorted(delta_grid)):
-        candidates = space.neighborhood(A, delta, closed=True)
-        for label, child_seed, probe in _lift_probes(
-            space, candidates, probes_per_cell, seed, d_idx, f"delta{delta:.6g}/"
-        ):
-            record = _orbit_record(system, probe, horizon, lift.distance, label, child_seed)
+        for record in _lift_records(system, lift, space.neighborhood(A, delta, closed=True),
+                                    probes_per_cell, seed, horizon, d_idx, f"delta{delta:.6g}/"):
             records.append(record)
             worst = cell_worst.get(delta)
             if worst is None or record.sup_distance > worst.sup_distance:
@@ -330,7 +337,7 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
         """(probe, label, seed, allowance); a sample is drawn just before its orbit."""
         for d_idx, delta in enumerate(deltas):
             for k in range(probes_per_cell):
-                child_seed = seed * 1_000_003 + d_idx * 1_009 + k
+                child_seed = _child_seed(seed, d_idx, k)
                 maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
                 probe = maker(random.Random(child_seed), space, mu, delta)
                 if not w_infinity(probe, mu).value <= delta + 1e-12:
@@ -342,8 +349,8 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
             yield probe, f"extra/{label}", None, extra_allowance
 
     records = [
-        _orbit_record(system, probe, horizon, lambda m: w_infinity(m, mu).value,
-                      label, child_seed, allowance)
+        _orbit_record(system.push, probe, horizon, lambda m: w_infinity(m, mu).value,
+                      label, child_seed, _freeze_weights(probe), allowance)
         for probe, label, child_seed, allowance in probes()
     ]
     witness = next((record for record in records if record.exceeded()), None)
@@ -369,23 +376,17 @@ def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
                      probes: int, seed: int = 0, tol: float = 0.0) -> StabilityReport:
     """Do all orbits started in the eps-lift-neighborhood fall back into the lift?"""
     A = _invariant_target(system, A)
-    space = system.space
-    candidates = space.neighborhood(A, eps, closed=True)
-    lift = LiftedSet(space, A)
-    records = []
-    witness = None
-    for label, child_seed, probe in _lift_probes(space, candidates, probes, seed):
-        record = _orbit_record(system, probe, horizon, lift.distance, label, child_seed)
-        records.append(record)
-        if min(record.distances) > tol and witness is None:
-            witness = record
+    records = tuple(_lift_records(system, LiftedSet(system.space, A),
+                                  system.space.neighborhood(A, eps, closed=True),
+                                  probes, seed, horizon))
+    witness = next((record for record in records if min(record.distances) > tol), None)
     return StabilityReport(
         notion="asymptotic",
         params={"set": sorted(A), "eps": eps, "horizon": horizon,
                 "probes": probes, "seed": seed, "tol": tol},
         verdict=UNSTABLE if witness is not None else STABLE,
         witness=witness,
-        records=tuple(records),
+        records=records,
     )
 
 
@@ -395,13 +396,8 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
     A = _invariant_target(system, A)
     space = system.space
     U = space.neighborhood(A, eps)
-    reentry = None
-    for n in range(1, n_max + 1):
-        if system.image_of_set(U, n) <= U:
-            reentry = n
-            break
-    # The forward images of U are eventually periodic; intersect through one
-    # full cycle for the exact infinite intersection.
+    # The forward images of U are eventually periodic: walk them once, to the
+    # first repeat.  images[i] is f^(i+1)(U), and they cycle from index start.
     seen: dict[frozenset, int] = {}
     images = []
     current = U
@@ -411,6 +407,11 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
             break
         seen[current] = len(images)
         images.append(current)
+    start = seen[current]
+    # Every image comes up in the walk, so the first re-entry does too.
+    reentry = next(
+        (n for n in range(1, min(n_max, len(images)) + 1) if images[n - 1] <= U), None
+    )
     intersection = frozenset(range(space.n_points))
     for img in images:
         intersection &= img
@@ -419,18 +420,21 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
         "(pushforward of a lift is the lift of the image)",
     ]
     if reentry is None:
-        point = min(system.image_of_set(U, n_max) - U, default=min(U))
-        label = f"escape/point{point}"
+        i = n_max - 1
+        if i >= len(images):  # past the walk: step back by whole periods
+            i = start + (i - start) % (len(images) - start)
+        point = min((images[i] if n_max else U) - U, default=min(U))
+        prefix = "escape/"
         notes.append(f"no n <= {n_max} with f^n(U) inside U")
     elif intersection != A:
         point = min(intersection ^ A)
-        label = f"intersection/point{point}"
+        prefix = "intersection/"
         notes.append("forward intersection of the neighborhood differs from the set")
     else:
-        label = None
+        prefix = None
         notes.append(f"f^{reentry}(U) inside U; forward intersection equals the set")
-    witness = None if label is None else _orbit_record(
-        system, point_mass(space, point), n_max, LiftedSet(space, A).distance, label, None
+    witness = None if prefix is None else next(
+        _lift_records(system, LiftedSet(space, A), [point], 0, None, n_max, prefix=prefix)
     )
     return StabilityReport(
         notion="attractor",
@@ -475,20 +479,11 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         if delta >= eps:
             continue
         U = space.neighborhood(A, delta, closed=True)
-        h = []
-        current = U
-        for n in range(horizon + 1):
-            h.append(hausdorff(space, A, current))
-            if n < horizon:
-                current = system.image_of_set(current)
-        record = ProbeRecord(
-            label=f"delta{delta:.6g}/neighborhood",
-            seed=None,
-            weights=tuple((a, 1, len(U)) for a in sorted(U)),
-            distances=tuple(h),
-            sup_distance=max(h),
-            argmax_step=h.index(max(h)),
+        record = _orbit_record(
+            system.image_of_set, U, horizon, lambda S: hausdorff(space, A, S),
+            f"delta{delta:.6g}/neighborhood", None, tuple((a, 1, len(U)) for a in sorted(U)),
         )
+        h = record.distances
         records.append(record)
         positive = [(n, v) for n, v in enumerate(h) if n >= 1 and v > 0.0]
         if len(positive) < 2:

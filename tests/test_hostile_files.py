@@ -3,8 +3,9 @@
 Each file kind the CLI reads (measure, sequence, decomposition instance,
 system) is drawn well formed and then broken in one way: a zero or negative
 `den` (including a negative `num` over a negative `den`, which `Fraction`
-would fold into a positive weight), a repeated point label, or a map that
-misses points or names an unknown one.  Every run must exit 2 with empty
+would fold into a positive weight), a `num` or `den` that is not a JSON
+integer (a float, integral ones too, a numeric string or a boolean), a
+repeated point label, or a map that misses points or names an unknown one.  Every run must exit 2 with empty
 stdout and one stderr line starting with "error: ", and no traceback.
 """
 from __future__ import annotations
@@ -33,11 +34,13 @@ def run(files: dict, argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_rejected(files: dict, argv: list) -> None:
+def assert_rejected(files: dict, argv: list) -> str:
+    """The run's stderr, once it is checked to be a rejection."""
     code, out, err = run(files, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 @st.composite
@@ -107,6 +110,26 @@ def test_zero_or_negative_den_exits_2(space, scale, num, data):
         den = entries[k]["den"] * scale
         entries[k] = {**entries[k], "num": entries[k]["num"] * scale if den else num, "den": den}
         assert_rejected(files, argv)
+
+
+NOT_INTEGERS = st.one_of(
+    st.floats(),
+    st.integers(-9, 9).map(float),
+    st.integers(-9, 9).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.booleans(),
+)
+
+
+@PROPERTY_SETTINGS
+@given(space=spaces(), field=st.sampled_from(("num", "den")), value=NOT_INTEGERS,
+       data=st.data())
+def test_non_integer_num_or_den_exits_2(space, field, value, data):
+    for files, argv, path in file_runs(space):
+        entries = locate(files, path)
+        k = data.draw(st.integers(0, len(entries) - 1))
+        entries[k] = {**entries[k], field: value}
+        assert f"{field} must be an integer" in assert_rejected(files, argv)
 
 
 @PROPERTY_SETTINGS

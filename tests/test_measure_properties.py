@@ -1,9 +1,10 @@
 """Property tests: `make_measure` and `pushforward` against the versions that
 rebuilt every weight and re-entered `make_measure` for each push.
 
-The oracle bodies below are kept verbatim; the results must agree in weights,
-key order, weight types and total, or both calls must raise the same
-exception with the same message.
+The oracle bodies below are kept verbatim, except that the package's former
+``as_fraction(weight)`` wrapper is now spelled ``Fraction(weight)``.  The
+results must agree in weights, key order, weight types and total, or both
+calls must raise the same exception with the same message.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottleneck_ot.errors import UnknownAtom
-from bottleneck_ot.measures import ZERO, DiscreteMeasure, as_fraction, make_measure, pushforward
+from bottleneck_ot.measures import ZERO, DiscreteMeasure, make_measure, pushforward
 from bottleneck_ot.spaces import build_space
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -26,7 +27,7 @@ def oracle_make_measure(space, atom_weight_pairs) -> DiscreteMeasure:
     acc: dict[int, Fraction] = {}
     for atom, weight in atom_weight_pairs:
         space.check_atom(atom)
-        w = as_fraction(weight)
+        w = Fraction(weight)
         if w < 0:
             raise ValueError(f"negative weight {w} at atom {atom}")
         acc[atom] = acc.get(atom, ZERO) + w

@@ -152,32 +152,38 @@ def test_neighborhood_correspondence(eight_point_space):
         assert (dist_to_lift(nu, A) < eps) == inside
 
 
-def test_map_system_iterates():
+def test_map_system_n_applications_on_a_cycle():
     space = build_space(["a", "b", "c"], "euclidean", coords=[[0.0], [1.0], [2.0]])
     system = MapSystem.build(space, [1, 2, 0])
-    assert system.iterate(0) == (0, 1, 2)
-    assert system.iterate(3) == (0, 1, 2)
+    assert system.apply_point(0, 0) == 0
     assert system.apply_point(0, 2) == 2
+    assert system.image_of_set([0, 1], 0) == frozenset({0, 1})
+    assert system.image_of_set([0, 1], 2) == frozenset({2, 0})
     mu = make_measure(space, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    assert system.push(mu, 0) == mu
     assert system.push(mu, 3) == mu
 
 
-def test_map_system_iterates_match_repeated_application():
+def test_map_system_n_applications_are_n_single_steps():
+    # Each single step is spelled out from the mapping table, apart from the
+    # methods under test.
     rng = random.Random(12)
     space = random_space(rng, 30, dim=1)
     system = MapSystem.build(space, [rng.randrange(30) for _ in range(30)])
-    other = MapSystem.build(space, system.mapping)
-    table = tuple(range(30))
-    for n in range(41):
-        assert system.iterate(n) == table, n
-        table = tuple(system.mapping[v] for v in table)
-    assert system.iterate(1) is system.mapping
-    assert system.iterate(37) is system.iterate(37)  # memoised on the instance
-    assert other.iterate(5) is not system.iterate(5)  # not shared between instances
+    f = system.mapping
     mu = random_probability_measure(rng, space, max_atoms=5)
-    for n in (0, 1, 6):
-        pushed = make_measure(space, [(system.iterate(n)[a], w) for a, w in mu.weights.items()])
-        assert system.push(mu, n) == pushed
+    atoms = frozenset(rng.sample(range(30), 6))
+    x, S, nu = 7, atoms, mu
+    for n in range(41):
+        assert system.apply_point(7, n) == x, n
+        assert system.image_of_set(atoms, n) == S, n
+        assert system.push(mu, n) == nu, n
+        x, S = f[x], frozenset(f[a] for a in S)
+        nu = make_measure(space, [(f[a], w) for a, w in nu.weights.items()])
+    for method, arg in ((system.apply_point, 7), (system.image_of_set, atoms),
+                        (system.push, mu)):
+        with pytest.raises(ValueError, match="n >= 0"):
+            method(arg, -1)
 
 
 def test_identity_map_is_lyapunov_stable_everywhere():
