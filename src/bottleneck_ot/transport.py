@@ -47,12 +47,10 @@ class TransportPlan:
         return max((space.d(i, j) for i, j, _ in self.entries), default=0.0)
 
     def cost(self, p: int) -> float:
-        """(sum of d^p * mass)^(1/p), masses exact, costs compensated floats."""
-        space = self.mu.space
-        total = math.fsum(
-            space.d(i, j) ** p * float(mass) for i, j, mass in self.entries
-        )
-        return total ** (1.0 / p)
+        """(sum of d^p * mass)^(1/p), masses exact, costs compensated floats
+        (exact where d^p overflows a float)."""
+        terms = [(self.mu.space.d(i, j), mass) for i, j, mass in self.entries]
+        return _power_mean((d ** p * float(mass) for d, mass in terms), terms, p)
 
 
 @dataclass(frozen=True)
@@ -90,29 +88,21 @@ class _Bipartite:
         rows = map(mu.space.row, self.sources)
         self.table = [[row[b] for b in self.targets] for row in rows]
 
-    def edges(self, pairs, costs=None):
-        """Supply edges, an uncapacitated edge per (i, j) pair, demand edges.
-
-        With ``costs``, one per pair, every edge carries a cost, zero off the pairs.
-        """
+    def edges(self, pairs):
+        """Supply edges, an uncapacitated edge per (i, j) pair, demand edges."""
         n, sink, total = len(self.sources), self.sink, self.total
-        if costs is None:
-            middle, tail = [(1 + i, 1 + n + j, total) for i, j in pairs], ()
-        else:
-            middle = [(1 + i, 1 + n + j, total, c) for (i, j), c in zip(pairs, costs)]
-            tail = (0.0,)
         return (
-            [(0, 1 + i, s, *tail) for i, s in enumerate(self.supply)]
-            + middle
-            + [(1 + n + j, sink, d, *tail) for j, d in enumerate(self.demand)]
+            [(0, 1 + i, s) for i, s in enumerate(self.supply)]
+            + [(1 + i, 1 + n + j, total) for i, j in pairs]
+            + [(1 + n + j, sink, d) for j, d in enumerate(self.demand)]
         )
 
-    def entries(self, pairs, flows) -> tuple:
-        """Plan entries, in sorted order, of the pairs that carry flow."""
-        n, denom = len(self.sources), self.denom
+    def entries(self, pairs, units) -> tuple:
+        """Plan entries, in the order given, of the (i, j) pairs whose units are nonzero."""
+        denom = self.denom
         return tuple(
             (self.sources[i], self.targets[j], Fraction(f, denom))
-            for (i, j), f in zip(pairs, flows[n:])
+            for (i, j), f in zip(pairs, units)
             if f
         )
 
@@ -194,7 +184,7 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
         calls += 1
         if value == net.total:
             hi = mid
-            witness = pairs, flows
+            witness = pairs, flows[len(net.sources):]
         else:
             lo = mid + 1
         mid = (lo + hi) // 2
@@ -202,7 +192,7 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
         value, pairs, flows = _flow_at_threshold(net, thresholds[lo])
         calls += 1
         _check_saturated(value, net, "max flow at the largest threshold")
-        witness = pairs, flows
+        witness = pairs, flows[len(net.sources):]
     plan = TransportPlan(mu, nu, net.entries(*witness))
     return SolveReport(
         value=thresholds[lo],
@@ -243,21 +233,30 @@ def w_infinity_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return answer
 
 
-def _wp_min_cost_flow(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
-    net = _Bipartite(mu, nu)
+def _power_mean(float_terms, terms, p: int) -> float:
+    """(sum of d**p * w) ** (1/p): the compensated float sum of ``float_terms``
+    while it stays finite, else exact over the (d, w) ``terms``.
 
-    def finite_pairs():  # a pair at infinite distance carries no mass at finite cost
-        return (
-            (i, j) for i, row in enumerate(net.table) for j, d in enumerate(row) if d < math.inf
-        )
-
-    costs = [d ** p for row in net.table for d in row if d < math.inf]
-    value, flows = min_cost_max_flow(net.sink + 1, net.edges(finite_pairs(), costs), 0, net.sink)
-    if value < net.total and len(costs) < len(net.sources) * len(net.targets):
-        return math.inf, None  # the rest of the mass can only cross an infinite distance
-    _check_saturated(value, net, "min-cost flow")
-    cost = math.fsum(c * f / net.denom for c, f in zip(costs, flows[len(net.sources):]) if f)
-    return cost, TransportPlan(mu, nu, net.entries(finite_pairs(), flows))
+    With masses summing to one the result is at most the largest d, so it is
+    finite whenever the distances are, even where d**p overflows.
+    """
+    try:
+        total = math.fsum(float_terms)
+    except OverflowError:
+        total = math.inf
+    if total < math.inf:
+        return total ** (1.0 / p)
+    exact = Fraction(0)
+    for d, w in terms:
+        if d == math.inf:
+            return math.inf
+        exact += Fraction(d) ** p * w
+    if p == 1:
+        return float(exact)
+    # floor(sqrt(exact) * 2**half) carries at least 64 bits before rounding.
+    num, den = exact.numerator, exact.denominator
+    half = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    return float(Fraction(math.isqrt((num << 2 * half) // den), 1 << half))
 
 
 def w_p_enumerate(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
@@ -304,13 +303,13 @@ def w_p_enumerate(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
 
 
 def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
-    """p-Wasserstein distance for p in {1, 2}: exact masses, float costs, by
-    min-cost flow (``w_p_enumerate`` is the independent oracle)."""
+    """p-Wasserstein distance for p in {1, 2}: exact masses and integer costs,
+    by the transportation simplex (``w_p_enumerate`` is the independent oracle)."""
     return w_p_plan(mu, nu, p)[0]
 
 
 def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
-    """Like ``w_p`` but also returns the optimal plan found by the flow.
+    """Like ``w_p`` but also returns the optimal plan found by the simplex.
 
     When every coupling moves mass across an infinite distance the value is
     infinite and the plan is None.
@@ -318,5 +317,17 @@ def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
     if p not in (1, 2):
         raise UnsupportedP(f"p must be 1 or 2, got {p}")
     _require_comparable(mu, nu)
-    cost, plan = _wp_min_cost_flow(mu, nu, p)
-    return cost ** (1.0 / p), plan
+    net = _Bipartite(mu, nu)
+    distances = [d for row in net.table for d in row]
+    value, flows = min_cost_max_flow(net.supply, distances, net.demand, p)
+    _check_saturated(value, net, "transportation simplex")
+    cells = sorted(flows.items())
+    if any(distances[k] == math.inf for k, _ in cells):
+        return math.inf, None  # the rest of the mass can only cross an infinite distance
+    cost = _power_mean(
+        (distances[k] ** p * f / net.denom for k, f in cells),
+        ((distances[k], Fraction(f, net.denom)) for k, f in cells),
+        p,
+    )
+    pairs = [divmod(k, len(net.targets)) for k, _ in cells]
+    return cost, TransportPlan(mu, nu, net.entries(pairs, [f for _, f in cells]))

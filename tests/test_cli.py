@@ -68,6 +68,15 @@ def test_dist_same_file_all_metrics_zero(capsys, vanishing_atom_n4):
     assert out.splitlines() == ["w_infinity 0", "w_1 0", "w_2 0"]
 
 
+def test_dist_w_2_past_the_float_range_of_squares(capsys, tmp_path):
+    space = {"points": ["x", "y"], "metric": "matrix", "matrix": [[0, 1e200], [1e200, 0]]}
+    ends = [write(tmp_path / f"{atom}.json", {
+        "space": space, "weights": [{"atom": atom, "num": 1, "den": 1}]}) for atom in "xy"]
+    code, out = run(capsys, ["dist", *ends, "--p", "1", "--p", "2"])
+    assert code == 0
+    assert out.splitlines() == ["w_infinity 1e+200", "w_1 1e+200", "w_2 1e+200"]
+
+
 def test_dist_plan_flag_and_json(capsys, vanishing_atom_n4, delta_y):
     code, out = run(capsys, ["dist", vanishing_atom_n4, delta_y, "--plan", "--format", "json"])
     assert code == 0

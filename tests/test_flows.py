@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from pathlib import Path
 
@@ -38,27 +39,45 @@ def test_max_flow_on_a_small_network():
         assert 0 <= f <= cap
 
 
-def test_min_cost_max_flow_prefers_the_cheap_route():
-    # Six units reach node 3.  Sending a second unit out of node 1 by the
-    # detour 1-2-3 costs 4.5 against 4 for the same unit sent straight 0-2-3.
-    edges = [(0, 1, 2, 0.0), (0, 2, 5, 0.0), (1, 3, 1, 1.0), (2, 3, 5, 4.0), (1, 2, 1, 0.5)]
-    value, flows = min_cost_max_flow(4, edges, 0, 3)
-    assert value == 6
-    assert flows == [1, 5, 1, 5, 0]
-
-
-def test_min_cost_flow_is_exact_across_wide_cost_ranges():
-    # Rows 1, 2 and columns 3, 4.  Row 2 takes column 3 first (cost tiny);
-    # row 1 then goes straight to column 4 (huge) rather than through the
-    # reroute 1-3-2-4 (huge + tiny), a difference no float sum of huge and
-    # tiny can show.  The integer images of the costs keep it exact.
-    tiny, huge = 1e-200, 1e200
-    edges = [(0, 1, 1, 0.0), (0, 2, 1, 0.0),
-             (1, 3, 1, huge), (1, 4, 1, huge), (2, 3, 1, tiny), (2, 4, 1, 2 * tiny),
-             (3, 5, 1, 0.0), (4, 5, 1, 0.0)]
-    value, flows = min_cost_max_flow(6, edges, 0, 5)
+def test_transportation_simplex_pivots_away_from_a_poor_start():
+    # Two rows, two columns, one unit each.  The least-cost start takes the
+    # cheapest cell (0, 0) and is left with (1, 1): cost 1 + 10.  Only a pivot
+    # reaches the optimum (0, 1) + (1, 0), cost 2 + 2.
+    value, flows = min_cost_max_flow([1, 1], [1.0, 2.0, 2.0, 10.0], [1, 1])
     assert value == 2
-    assert flows[2:6] == [0, 1, 1, 0]
+    assert flows == {1: 1, 2: 1}
+
+
+def test_transportation_simplex_solves_degenerate_assignments():
+    # Equal masses make every basis degenerate; the result must still be a
+    # least-cost permutation, found without cycling.
+    rng = random.Random(5)
+    for n in range(1, 6):
+        distances = [float(rng.randint(0, 4)) for _ in range(n * n)]
+        value, flows = min_cost_max_flow([3] * n, distances, [3] * n)
+        assert value == 3 * n and set(flows.values()) <= {1, 2, 3}
+        rows, cols = [0] * n, [0] * n
+        for k, units in flows.items():
+            rows[k // n] += units
+            cols[k % n] += units
+        assert rows == cols == [3] * n
+        best = min(sum(distances[i * n + j] for i, j in enumerate(perm))
+                   for perm in permutations(range(n)))
+        assert sum(distances[k] * units for k, units in flows.items()) == 3 * best
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_min_cost_flow_is_exact_across_wide_cost_ranges(p):
+    # Rows offer 2 and 1 units, columns take 1 and 2.  The least-cost start
+    # puts a unit on the tiny cell (0, 0), which forces one onto the huge cell
+    # (1, 1): cost tiny + 1.5 huge.  The optimum leaves both empty, at
+    # 1.5 huge: a difference of tiny that no float sum with huge can show.
+    # The integer images of the costs keep the pivot exact, also for p = 2,
+    # where tiny**2 underflows and huge**2 overflows a float.
+    tiny, huge = 1e-200, 1e200
+    value, flows = min_cost_max_flow([2, 1], [tiny, huge / 2, huge / 2, huge], [1, 2], p)
+    assert value == 3
+    assert flows == {1: 2, 2: 1}
 
 
 def test_w_p_leaves_out_pairs_at_infinite_distance():

@@ -43,7 +43,7 @@ from bottleneck_ot.decomposition import (
 )
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import build_space
-from bottleneck_ot.transport import w_infinity, w_infinity_bruteforce
+from bottleneck_ot.transport import w_infinity, w_infinity_bruteforce, w_p, w_p_enumerate
 
 if __debug__:
     sys.exit("asserts are on: run with python -O")
@@ -64,6 +64,10 @@ for seed in range(20):
     mu, nu = measure(rng.randint(1, min(n, 6))), measure(rng.randint(1, min(n, 6)))
     if w_infinity(mu, nu).value != w_infinity_bruteforce(mu, nu):
         failures.append(f"w_infinity, seed {seed}")
+    for p in (1, 2):
+        expected = w_p_enumerate(mu, nu, p)
+        if not abs(w_p(mu, nu, p) - expected) <= 1e-12 * max(1.0, expected):
+            failures.append(f"w_{p}, seed {seed}")
 
     m = rng.randint(1, 4)
     sets, components = [], []

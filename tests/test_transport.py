@@ -227,6 +227,22 @@ def test_w_p_below_bottleneck_and_equal_for_point_masses():
         assert w_p(x, y, p) == pytest.approx(w_infinity(x, y).value, abs=1e-12)
 
 
+def test_w_2_stays_finite_where_the_squared_distance_overflows():
+    # 1e200 ** 2 is past the float range, yet W2 of two point masses at
+    # distance 1e200 is 1e200, and a half-and-half split gives 1e200 / sqrt 2.
+    far = 1e200
+    space = build_space(["x", "y", "z"], "explicit-matrix",
+                        matrix=[[0.0, far, far], [far, 0.0, 1.0], [far, 1.0, 0.0]])
+    x, y = point_mass(space, 0), point_mass(space, 1)
+    value, plan = w_p_plan(x, y, 2)
+    assert value == w_p(x, y, 2) == plan.cost(2) == far
+    half = make_measure(space, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    value, plan = w_p_plan(half, point_mass(space, 1), 2)
+    assert value == pytest.approx(far / 2 ** 0.5, rel=1e-15)
+    assert plan.cost(2) == pytest.approx(value, rel=1e-15)
+    assert w_p(half, point_mass(space, 2), 1) == pytest.approx((far + 1.0) / 2, rel=1e-15)
+
+
 def test_w_p_separates_from_bottleneck_on_vanishing_atom(line):
     # W_p shrinks with n while the bottleneck value stays put: the two
     # topologies are genuinely different.

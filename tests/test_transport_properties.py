@@ -8,9 +8,14 @@ bound: the bound must never exceed the value, one probe must suffice when it
 equals the value, and the plan must be the exact max flow at the value, the
 witness a plain bisection ends with.  Coordinates sit on a coarse grid and
 matrix entries take few values, so equal distances (ties) are common.
+
+`w_p` and `w_p_plan` for p = 1, 2 are checked the same way against the
+vertex enumeration `w_p_enumerate`, also with all-equal masses (every basis
+degenerate) and on matrices with infinite distances between blocks.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,10 +30,14 @@ from bottleneck_ot.transport import (
     _singleton_hall_bound,
     w_infinity,
     w_infinity_bruteforce,
+    w_p,
+    w_p_enumerate,
+    w_p_plan,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 ORACLE_CAP = 36  # w_infinity_bruteforce accepts |supp mu| * |supp nu| <= 36
+ENUMERATION_CAP = 5  # w_p_enumerate takes up to 6 atoms a side, but 6x6 can take seconds
 
 
 @st.composite
@@ -99,4 +108,94 @@ def test_w_infinity_search_starts_at_a_lower_bound(rule, data):
         assert report.feasibility_calls == 1
     value, pairs, flows = _flow_at_threshold(net, report.value)
     assert value == net.total
-    assert report.plan.entries == net.entries(pairs, flows)
+    assert report.plan.entries == net.entries(pairs, flows[len(net.sources):])
+
+
+@st.composite
+def blocked_pairs(draw):
+    """Two measures on a matrix space split into blocks at infinite distance,
+    with some infinite entries inside blocks too.
+
+    Half the draws move each block's mass of mu onto atoms of nu in the same
+    block, which often leaves a finite coupling; the rest are left to chance.
+    """
+    n = draw(st.integers(2, 7))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    entries = st.sampled_from([1.0, 1.25, 1.5, 2.0, math.inf])
+    upper = {(i, j): draw(entries) if block[i] == block[j] else math.inf
+             for i in range(n) for j in range(i + 1, n)}
+    matrix = [[0.0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
+              for i in range(n)]
+    space = build_space([f"p{i}" for i in range(n)], "explicit-matrix", matrix=matrix)
+    mu = draw(measures(space, max_atoms=ENUMERATION_CAP - 1))
+    if not draw(st.booleans()):
+        return mu, draw(measures(space, max_atoms=ENUMERATION_CAP))
+    pieces = []
+    for b in {block[a] for a in mu.weights}:
+        mass = sum(w for a, w in mu.weights.items() if block[a] == b)
+        atoms = draw(st.lists(st.sampled_from([a for a in range(n) if block[a] == b]),
+                              min_size=1, max_size=2, unique=True))
+        raw = draw(st.lists(st.integers(1, 4), min_size=len(atoms), max_size=len(atoms)))
+        pieces += [(a, mass * r / sum(raw)) for a, r in zip(atoms, raw)]
+    return mu, make_measure(space, pieces)
+
+
+def _uniform(measure):
+    k = len(measure.weights)
+    return make_measure(measure.space, [(a, Fraction(1, k)) for a in measure.weights])
+
+
+def _check_w_p(mu, nu, finite: bool):
+    for p in (1, 2):
+        value, plan = w_p_plan(mu, nu, p)
+        assert w_p(mu, nu, p) == value
+        expected = w_p_enumerate(mu, nu, p)
+        assert (value == math.inf) == (expected == math.inf) == (not finite)
+        if not finite:
+            assert plan is None
+            continue
+        assert abs(value - expected) <= 1e-12 * max(1.0, expected)
+        rows: dict = {}
+        cols: dict = {}
+        for i, j, mass in plan.entries:
+            assert isinstance(mass, Fraction) and mass > 0
+            rows[i] = rows.get(i, 0) + mass
+            cols[j] = cols.get(j, 0) + mass
+        assert rows == dict(mu.weights)
+        assert cols == dict(nu.weights)
+        assert abs(plan.cost(p) - value) <= 1e-12 * max(1.0, value)
+
+
+@pytest.mark.parametrize("rule", METRIC_RULES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_w_p_equals_the_vertex_enumeration_with_an_exact_plan(rule, data):
+    space = data.draw(spaces(rule))
+    mu = data.draw(measures(space, max_atoms=ENUMERATION_CAP))
+    nu = data.draw(measures(space, max_atoms=ENUMERATION_CAP))
+    if data.draw(st.booleans()):  # all masses equal: every basis is degenerate
+        mu, nu = _uniform(mu), _uniform(nu)
+    _check_w_p(mu, nu, finite=True)
+
+
+@PROPERTY_SETTINGS
+@given(pair=blocked_pairs())
+def test_w_p_is_infinite_exactly_when_no_finite_coupling_exists(pair):
+    mu, nu = pair
+    # The subset-condition oracle is finite iff a coupling on finite cells exists.
+    _check_w_p(mu, nu, finite=w_infinity_bruteforce(mu, nu) < math.inf)
+
+
+def test_w_p_routes_around_an_infinite_cell():
+    # a - b - c is a path with d(a, c) infinite.  The cheapest cell, b to b,
+    # leaves a only c, across the infinite distance; the finite optimum sends
+    # a to b and b to c instead.
+    inf = math.inf
+    space = build_space(["a", "b", "c"], "explicit-matrix",
+                        matrix=[[0.0, 1.0, inf], [1.0, 0.0, 1.0], [inf, 1.0, 0.0]])
+    half = Fraction(1, 2)
+    mu = make_measure(space, [(0, half), (1, half)])
+    nu = make_measure(space, [(1, half), (2, half)])
+    _check_w_p(mu, nu, finite=True)
+    assert w_p_plan(mu, nu, 1) == (1.0, w_p_plan(mu, nu, 2)[1])
+    assert w_p_plan(mu, nu, 1)[1].entries == ((0, 1, half), (1, 2, half))
