@@ -21,9 +21,9 @@ from typing import Iterable, Sequence
 
 from .errors import EmptySet, MetricViolation, UnknownAtom
 
-# Relative slack for the triangle-inequality check: Euclidean matrices satisfy
-# the triangle inequality in exact arithmetic but float rounding can overshoot
-# by a few ulps.
+# Relative slack for the triangle-inequality check, per triangle: Euclidean
+# matrices satisfy the triangle inequality in exact arithmetic but float
+# rounding can overshoot by a few ulps.
 _TRIANGLE_SLACK = 1e-9
 
 METRIC_RULES = ("euclidean", "flat-torus", "explicit-matrix")
@@ -203,12 +203,14 @@ def _validate_matrix(dist, n: int) -> None:
                 raise MetricViolation(f"asymmetry at ({i}, {j})")
             if i != j and not dist[i][j] > 0.0:
                 raise MetricViolation(f"non-positive off-diagonal at ({i}, {j})")
-    scale = max(max(row) for row in dist) if n else 0.0
-    tol = _TRIANGLE_SLACK * max(scale, 1.0)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if dist[i][k] > dist[i][j] + dist[j][k] + tol:
+    # The slack scales with each triangle's own bound d(i,j) + d(j,k), so one
+    # huge or infinite entry elsewhere cannot switch the check off; an infinite
+    # d(i,k) fails against any finite bound.
+    for i, row in enumerate(dist):
+        for j, d_ij in enumerate(row):
+            for k, (d_ik, d_jk) in enumerate(zip(row, dist[j])):
+                bound = d_ij + d_jk
+                if d_ik > bound + _TRIANGLE_SLACK * max(bound, 1.0):
                     raise MetricViolation(
                         f"triangle failure: d({i},{k}) > d({i},{j}) + d({j},{k})"
                     )

@@ -5,14 +5,15 @@ smallest threshold t, among the pairwise support distances, at which a coupling
 confined to pairs within distance t exists.  Feasibility is an exact max-flow
 question with rational capacities, so the returned value is always a verbatim
 entry of the distance matrix (or 0) and never a rounded quantity.  The search
-over thresholds starts at the singleton-Hall bound (Hall 1935; Gale 1957):
-below it a single atom's mass cannot be covered, and it is most often the
-value, so most solves take one max flow.
+is a chase of lower bounds from Hall's condition (Hall 1935; Gale 1957): it
+starts at the singleton-Hall bound, below which a single atom's mass cannot
+be covered and which is most often the value, and each probe that falls short
+leaves a min cut, a set of atoms whose mass cannot be covered, whose covering
+threshold is the next probe.  Most solves take one max flow.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -116,11 +117,6 @@ def _flow_at_threshold(net: _Bipartite, t: float):
     return value, pairs, flows
 
 
-def _check_saturated(value: int, net: _Bipartite, what: str) -> None:
-    if value != net.total:
-        raise SolverInvariantError(f"{what} routed {value} of {net.total} units of 1/{net.denom}")
-
-
 def feasible_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> bool:
     """True iff a coupling supported on pairs with d(i, j) <= t exists."""
     _require_comparable(mu, nu)
@@ -129,75 +125,114 @@ def feasible_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) ->
     return value == net.total
 
 
+def _thresholds(net: _Bipartite) -> set[float]:
+    """Distinct entries of the distance table, plus 0."""
+    return {0.0}.union(*net.table)
+
+
 def candidate_thresholds(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[float]:
     """Sorted distinct pairwise distances between the two supports, plus 0."""
-    return sorted({0.0}.union(*_Bipartite(mu, nu).table))
+    return sorted(_thresholds(_Bipartite(mu, nu)))
+
+
+def _covering_threshold(dists, need: int, offers, floor: float) -> float:
+    """Least threshold t >= ``floor`` at which the offers within t of a set
+    cover the set's need; ``dists[k]`` is the set's distance to offer k (for
+    a single atom, its row of the table).
+
+    Below it the set violates Hall's condition, so no coupling exists; it is
+    a table entry or ``floor``.  A set already covered within ``floor`` is not
+    sorted.
+    """
+    if sum(m for d, m in zip(dists, offers) if d <= floor) >= need:
+        return floor
+    got = 0
+    for d, m in sorted(zip(dists, offers)):
+        got += m
+        if got >= need:
+            return d
+    raise SolverInvariantError(f"offers of {got} units cannot cover a need of {need}")
 
 
 def _singleton_hall_bound(net: _Bipartite) -> float:
-    """Largest, over single atoms of either side, of the least threshold at
-    which the other side's mass within it covers the atom's mass.
-
-    Below it one atom violates Hall's condition, so no coupling exists; it is
-    a table entry (or 0).  A row whose mass is already covered within the
-    running maximum cannot raise it and is not sorted.
-    """
+    """Largest covering threshold over single atoms of either side."""
     bound = 0.0
     for rows, needs, offers in (
         (net.table, net.supply, net.demand),
         (zip(*net.table), net.demand, net.supply),
     ):
         for row, need in zip(rows, needs):
-            if sum(m for d, m in zip(row, offers) if d <= bound) >= need:
-                continue
-            got = 0
-            for d, m in sorted(zip(row, offers)):
-                got += m
-                if got >= need:
-                    bound = d
-                    break
+            bound = _covering_threshold(row, need, offers, bound)
     return bound
+
+
+def _hall_violator(net: _Bipartite, pairs, flows) -> list[int]:
+    """The sources reachable from the source in the residual graph of a max
+    flow that fell short: the source side S of a min cut.
+
+    Every pair edge is open forward, so S's neighbours are all reached, and
+    the cut, supply outside S plus demand of N_t(S), is the flow value, less
+    than the total: supply(S) > demand(N_t(S)).
+    """
+    n = len(net.sources)
+    reached = [f < s for f, s in zip(flows, net.supply)]
+    ahead: list[list[int]] = [[] for _ in range(n)]
+    back: list[list[int]] = [[] for _ in net.targets]
+    for (i, j), f in zip(pairs, flows[n:]):
+        ahead[i].append(j)
+        if f:
+            back[j].append(i)
+    seen = [False] * len(net.targets)
+    queue = [i for i in range(n) if reached[i]]
+    for i in queue:
+        for j in ahead[i]:
+            if not seen[j]:
+                seen[j] = True
+                for k in back[j]:
+                    if not reached[k]:
+                        reached[k] = True
+                        queue.append(k)
+    return [i for i in range(n) if reached[i]]
+
+
+def _next_threshold(net: _Bipartite, t: float, violator: list[int]) -> float:
+    """Least threshold at which nu's mass within it covers mu's mass on a set
+    that violates Hall's condition at t: a lower bound on the value above t."""
+    table = net.table
+    dists = list(map(min, zip(*(table[i] for i in violator))))
+    nxt = _covering_threshold(dists, sum(net.supply[i] for i in violator), net.demand, t)
+    if not nxt > t:
+        raise SolverInvariantError(f"the min cut at threshold {t} violates no Hall condition")
+    return nxt
 
 
 def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
     """Bottleneck transport value with an optimal plan as witness.
 
-    Binary search over the sorted distinct distances: feasibility is monotone
-    in the threshold and the optimum is attained at a matrix entry.  The
-    search starts at the singleton-Hall bound, which it probes first because
-    it is most often the value; ``feasibility_calls`` counts the probes from
-    there, so it is 1 when the bound is the value.  Masses and distances are
-    read once; each probe builds its network from them.  The plan is always
-    the max flow at exactly the optimal threshold.
+    Every probe is a max flow at a threshold that is a proven lower bound on
+    the value, so the first probe that routes all mass is at the value.  The
+    chase starts at the singleton-Hall bound, most often the value.  A probe
+    that falls short leaves a min cut whose source side S violates Hall's
+    condition; the next probe is at the least threshold at which nu's mass
+    within it covers mu(S), strictly higher and still at most the value.
+    ``feasibility_calls`` counts the probes, one max flow each, so it is 1
+    when the bound is the value.  The plan is the max flow of the last probe,
+    at exactly the optimal threshold.
     """
     _require_comparable(mu, nu)
     net = _Bipartite(mu, nu)
-    thresholds = sorted({0.0}.union(*net.table))
-    lo, hi = bisect_left(thresholds, _singleton_hall_bound(net)), len(thresholds) - 1
-    mid = lo
-    calls = 0
-    witness = None  # (pairs, flows) of the smallest feasible threshold probed
-    # The largest threshold admits the full bipartite graph and is always
-    # feasible for probability measures, so the search space is never empty.
-    while lo < hi:
-        value, pairs, flows = _flow_at_threshold(net, thresholds[mid])
+    t = _singleton_hall_bound(net)
+    calls = 1
+    value, pairs, flows = _flow_at_threshold(net, t)
+    while value != net.total:
+        t = _next_threshold(net, t, _hall_violator(net, pairs, flows))
         calls += 1
-        if value == net.total:
-            hi = mid
-            witness = pairs, flows[len(net.sources):]
-        else:
-            lo = mid + 1
-        mid = (lo + hi) // 2
-    if witness is None:  # only the largest threshold is left, and it was not probed
-        value, pairs, flows = _flow_at_threshold(net, thresholds[lo])
-        calls += 1
-        _check_saturated(value, net, "max flow at the largest threshold")
-        witness = pairs, flows[len(net.sources):]
-    plan = TransportPlan(mu, nu, net.entries(*witness))
+        value, pairs, flows = _flow_at_threshold(net, t)
+    plan = TransportPlan(mu, nu, net.entries(pairs, flows[len(net.sources):]))
     return SolveReport(
-        value=thresholds[lo],
+        value=t,
         plan=plan,
-        thresholds_tested=len(thresholds),
+        thresholds_tested=len(_thresholds(net)),
         feasibility_calls=calls,
     )
 
@@ -320,7 +355,9 @@ def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
     net = _Bipartite(mu, nu)
     distances = [d for row in net.table for d in row]
     value, flows = min_cost_max_flow(net.supply, distances, net.demand, p)
-    _check_saturated(value, net, "transportation simplex")
+    if value != net.total:
+        raise SolverInvariantError(
+            f"transportation simplex routed {value} of {net.total} units of 1/{net.denom}")
     cells = sorted(flows.items())
     if any(distances[k] == math.inf for k, _ in cells):
         return math.inf, None  # the rest of the mass can only cross an infinite distance

@@ -91,6 +91,27 @@ for seed in range(20):
     elif verdict.feasible:
         if not verify_decomposition(instance, decompose(instance, verdict=verdict)).valid:
             failures.append(f"decompose, seed {seed}")
+
+# Two clusters of side 1/8, at (0, 0) and at (1, 1).  The first holds a third
+# of mu and two quarters of nu; the second, two thirds of mu and nu's half at
+# one of them.  Every atom is covered within its cluster, those two thirds are
+# not, so the singleton-Hall bound is below the value and the chase must step
+# past it.
+chased = 0
+third, quarter = Fraction(1, 3), Fraction(1, 4)
+for seed in range(10):
+    rng = random.Random(seed)
+    corners = (0, 0, 0, 1, 1)
+    space = build_space([f"p{i}" for i in range(5)], "euclidean",
+                        coords=[[k + rng.random() / 8, k + rng.random() / 8] for k in corners])
+    mu = make_measure(space, [(0, third), (3, third), (4, third)])
+    nu = make_measure(space, [(rng.randint(0, 1), quarter), (2, quarter), (3, 2 * quarter)])
+    report = w_infinity(mu, nu)
+    if report.value != w_infinity_bruteforce(mu, nu):
+        failures.append(f"w_infinity on two clusters, seed {seed}")
+    chased += report.feasibility_calls >= 2
+if not chased:
+    failures.append("no two-cluster solve stepped past the singleton-Hall bound")
 if failures:
     sys.exit("mismatch: " + "; ".join(failures))
 print("ok")

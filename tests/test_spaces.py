@@ -49,6 +49,17 @@ def test_matrix_validation_catches_diagonal_and_triangle():
         )
 
 
+@pytest.mark.parametrize("far", [float("inf"), 1e200], ids=["inf", "1e200"])
+def test_matrix_triangle_check_survives_a_far_point(far):
+    # d(a, c) = 100 > d(a, b) + d(b, c) = 2, beside a fourth point far from
+    # all three: its entries must not widen the slack of the small triangle.
+    matrix = [[0, 1, 100, far], [1, 0, 1, far], [100, 1, 0, far], [far, far, far, 0]]
+    with pytest.raises(MetricViolation, match=r"triangle failure: d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        build_space(["a", "b", "c", "d"], "explicit-matrix", matrix=matrix)
+    matrix[0][2] = matrix[2][0] = 2
+    assert build_space(["a", "b", "c", "d"], "explicit-matrix", matrix=matrix).d(0, 3) == far
+
+
 def test_negative_zero_matrix_entries_are_stored_as_zero():
     space = build_space(["a", "b"], "explicit-matrix", matrix=[[-0.0, 1.0], [1.0, -0.0]])
     assert [math.copysign(1.0, space.d(i, i)) for i in range(2)] == [1.0, 1.0]

@@ -3,11 +3,13 @@
 
 The value must equal the oracle's bit for bit, and the plan must be an exact
 witness: positive masses, marginals equal to both measures as rationals, and
-a largest edge equal to the value.  The search starts at the singleton-Hall
-bound: the bound must never exceed the value, one probe must suffice when it
-equals the value, and the plan must be the exact max flow at the value, the
-witness a plain bisection ends with.  Coordinates sit on a coarse grid and
-matrix entries take few values, so equal distances (ties) are common.
+a largest edge equal to the value.  The search is a chase of lower bounds
+from the singleton-Hall bound: the bound must never exceed the value, one
+probe must suffice when it equals the value, every failed probe's min cut
+must violate Hall's condition in integers and lead to a threshold above the
+probe and at most the value, and the plan must be the exact max flow at the
+value.  Coordinates sit on a coarse grid and matrix entries take few values,
+so equal distances (ties) are common.
 
 `w_p` and `w_p_plan` for p = 1, 2 are checked the same way against the
 vertex enumeration `w_p_enumerate`, also with all-equal masses (every basis
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from bottleneck_ot import transport
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import METRIC_RULES, build_space
 from bottleneck_ot.transport import (
@@ -41,8 +45,8 @@ ENUMERATION_CAP = 5  # w_p_enumerate takes up to 6 atoms a side, but 6x6 can tak
 
 
 @st.composite
-def spaces(draw, rule: str, max_points: int = 7):
-    n = draw(st.integers(1, max_points))
+def spaces(draw, rule: str, max_points: int = 7, min_points: int = 1):
+    n = draw(st.integers(min_points, max_points))
     ids = [f"p{i}" for i in range(n)]
     if rule == "explicit-matrix":
         # Off-diagonal entries in [1, 2] satisfy the triangle inequality.
@@ -112,6 +116,59 @@ def test_w_infinity_search_starts_at_a_lower_bound(rule, data):
 
 
 @st.composite
+def crowded_pairs(draw, rule: str):
+    """mu, and a nu whose atom at one point of a set S of mu's atoms holds
+    more than any atom of S but less than mu(S), and whose other atoms lie
+    off S.
+
+    S is that point and its nearest atoms of mu.  Each atom of S alone is
+    covered near it, S is not, so the singleton-Hall bound is often below the
+    value and the chase has to step past it.
+    """
+    space = draw(spaces(rule, min_points=3))
+    mu = draw(measures(space, max_atoms=space.n_points - 1)
+              .filter(lambda m: len(m.weights) >= 2))
+    hub = draw(st.sampled_from(sorted(mu.weights)))
+    crowd = sorted(mu.weights, key=lambda a: space.d(hub, a))[:draw(st.integers(2, 3))]
+    least, most = max(mu.weights[a] for a in crowd), sum(mu.weights[a] for a in crowd)
+    held = least + (most - least) * Fraction(draw(st.integers(1, 3)), 4)
+    others = [a for a in range(space.n_points) if a not in crowd]
+    rest = draw(st.lists(st.sampled_from(others), min_size=1, unique=True,
+                         max_size=min(len(others), ORACLE_CAP // len(mu.weights) - 1)))
+    raw = draw(st.lists(st.integers(1, 6), min_size=len(rest), max_size=len(rest)))
+    pieces = [(hub, held)] + [(a, (1 - held) * r / sum(raw)) for a, r in zip(rest, raw)]
+    return mu, make_measure(space, pieces)
+
+
+@pytest.mark.parametrize("rule", METRIC_RULES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_w_infinity_chase_steps_by_hall_violations(rule, data):
+    mu, nu = data.draw(crowded_pairs(rule))
+    steps = []
+    step = transport._next_threshold
+
+    def record(net, t, violator):
+        nxt = step(net, t, violator)
+        steps.append((net, t, violator, nxt))
+        return nxt
+
+    with mock.patch.object(transport, "_next_threshold", record):
+        report = w_infinity(mu, nu)
+    value = w_infinity_bruteforce(mu, nu)
+    target(float(report.feasibility_calls))  # steer the draws toward longer chases
+    assert report.value == value
+    assert len(steps) == report.feasibility_calls - 1
+    for net, t, violator, nxt in steps:
+        # The failed probe's min cut S violates Hall's condition in integers
+        # at t: mu(S) > nu(N_t(S)).  The next threshold is a lower bound above t.
+        reach = [j for j in range(len(net.targets))
+                 if any(net.table[i][j] <= t for i in violator)]
+        assert sum(net.supply[i] for i in violator) > sum(net.demand[j] for j in reach)
+        assert t < nxt <= value
+
+
+@st.composite
 def blocked_pairs(draw):
     """Two measures on a matrix space split into blocks at infinite distance,
     with some infinite entries inside blocks too.
@@ -126,7 +183,10 @@ def blocked_pairs(draw):
              for i in range(n) for j in range(i + 1, n)}
     matrix = [[0.0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
               for i in range(n)]
-    space = build_space([f"p{i}" for i in range(n)], "explicit-matrix", matrix=matrix)
+    # An infinite entry inside a block breaks the triangle inequality, which
+    # validation rejects; the transport solvers take any table of distances.
+    space = build_space([f"p{i}" for i in range(n)], "explicit-matrix", matrix=matrix,
+                        validate=False)
     mu = draw(measures(space, max_atoms=ENUMERATION_CAP - 1))
     if not draw(st.booleans()):
         return mu, draw(measures(space, max_atoms=ENUMERATION_CAP))
@@ -191,7 +251,8 @@ def test_w_p_routes_around_an_infinite_cell():
     # leaves a only c, across the infinite distance; the finite optimum sends
     # a to b and b to c instead.
     inf = math.inf
-    space = build_space(["a", "b", "c"], "explicit-matrix",
+    # Not a metric (d(a, c) > d(a, b) + d(b, c)), so it is built unvalidated.
+    space = build_space(["a", "b", "c"], "explicit-matrix", validate=False,
                         matrix=[[0.0, 1.0, inf], [1.0, 0.0, 1.0], [inf, 1.0, 0.0]])
     half = Fraction(1, 2)
     mu = make_measure(space, [(0, half), (1, half)])
