@@ -7,6 +7,19 @@ is provable, so verdicts are evidence-qualified: "consistent with" on full
 agreement, a concrete witness (criterion, index, set) for refutation, and
 Inconclusive otherwise.  Separating-mass checks compare integers: the limit
 and every term are scaled once to one common denominator.
+
+The verdict checks all 2^k - 1 subsets of the limit's support without a
+neighborhood scan per subset.  A subset's clearance is the lightest edge of a
+minimum spanning tree of the support that crosses it (the cut property).  Per
+distinct clearance c, every term atom goes to the cell of its first support
+atom within c/2, and each support atom's per-term mass deficits are packed
+into one int, so a subset costs a few integer additions.  That attribution is
+exact when the support atoms within c/2 of each term atom are pairwise closer
+than c, so that no set of clearance c can split them; where that fails
+(rounding, a non-metric matrix) or c/2 is not inside (0, c), the subsets of
+that clearance go to ``separating_mass_check``, and a support block that is
+not symmetric with positive entries goes wholly to the direct enumeration
+``separating_subsets``, which stays as the reference.
 """
 from __future__ import annotations
 
@@ -131,6 +144,132 @@ def separating_mass_check(sequence: MeasureSequence, sep: SeparatingSet,
     return MassCheckOutcome(True, last + 1, last)
 
 
+def _support_mst(supp, rows):
+    """Edges ``(weight, bits)`` of a minimum spanning tree of the support
+    block, lightest first, by Prim's rule; ``bits`` marks the two ends as
+    bits of indices into ``supp``.  None unless the block is symmetric with
+    positive entries off the diagonal (only matrices built with
+    ``validate=False`` fail that)."""
+    k = len(supp)
+    block = [[rows[a][b] for b in supp] for a in supp]
+    if any(not block[i][j] > 0.0 or block[i][j] != block[j][i]
+           for i in range(k) for j in range(i)):
+        return None
+    best = {j: (block[0][j], 0) for j in range(1, k)}
+    edges = []
+    while best:
+        j = min(best, key=lambda v: best[v][0])
+        weight, i = best.pop(j)
+        edges.append((weight, 1 << i | 1 << j))
+        for v, (w, _) in best.items():
+            if block[j][v] < w:
+                best[v] = (block[j][v], j)
+    edges.sort()
+    return edges
+
+
+def _packed_term_masses(terms, width) -> dict:
+    """Per atom of any term: its integer mass in term n at bit ``width * n``."""
+    packed = {}
+    for n, term in enumerate(terms):
+        shift = width * n
+        for x, m in term.items():
+            packed[x] = packed.get(x, 0) + (m << shift)
+    return packed
+
+
+def _packed_deficits(term_masses, biases, supp, rows, clearance):
+    """Per atom of ``supp``, its entry of ``biases`` plus the packed term
+    masses of its cell; None where attributing a point to a cell could
+    misjudge a set of this clearance.
+
+    The cell of a is every term atom x whose first support atom within
+    ``clearance / 2`` (in the order of ``supp``) is a.  A set S of this
+    clearance holds x in its open neighborhood iff that first atom is in S,
+    provided the support atoms within ``clearance / 2`` of x are pairwise
+    closer than the clearance: then S cannot take some of them and leave
+    others.  The check runs in floats, so rounding or a non-metric matrix
+    gives None, and the caller asks ``separating_mass_check`` instead.
+    """
+    eps = clearance / 2
+    packed = [*biases, 0]  # the last slot collects the atoms near no support atom
+    for x, masses in term_masses.items():
+        near = [i for i, a in enumerate(supp) if rows[a][x] < eps]
+        if any(not rows[supp[i]][supp[j]] < clearance for i, j in combinations(near, 2)):
+            return None
+        packed[near[0] if near else -1] += masses
+    return packed
+
+
+def _separating_outcomes(sequence: MeasureSequence):
+    """``(SeparatingSet, MassCheckOutcome)`` for every set of
+    ``separating_subsets(sequence.limit)``, in its order, each outcome equal
+    to ``separating_mass_check`` at half the clearance, with no neighborhood
+    scan per set.
+
+    The clearance of a proper subset is the weight of the lightest edge of a
+    minimum spanning tree of the support block that crosses it (the cut
+    property): the same matrix entry as the direct minimum.  Sets of one
+    clearance share one radius, so each support atom's cell is found once
+    per distinct clearance (``_packed_deficits``).  Per atom, its cell's term
+    masses less its limit mass, each biased by the common denominator, are
+    packed as fixed-width fields of one int; a set's sum of them carries
+    nothing from field to field and equals the set's size times the bias in
+    every field iff every term carries the limit's mass, and the highest
+    differing bit names the last violating term.  A clearance c without
+    ``0 < c/2 < c``, or whose cells are not exact, goes to
+    ``separating_mass_check``; a support block that is not symmetric with
+    positive entries goes wholly to the direct loop.
+    """
+    supp = sorted(sequence.limit.support())
+    if len(supp) > SUPPORT_CAP:
+        raise SupportTooLarge(f"support enumeration capped at {SUPPORT_CAP} atoms")
+    space = sequence.space
+    rows = {a: space.row(a) for a in supp}
+    whole = space.diameter() or 1.0  # read before any check, as the direct loop does
+    edges = _support_mst(supp, rows)
+    if edges is None:
+        for sep in separating_subsets(sequence.limit):
+            yield sep, separating_mass_check(sequence, sep, sep.clearance / 2)
+        return
+    limit, terms = sequence.integer_masses
+    k, n_terms = len(supp), len(terms)
+    denom = sum(limit.values())
+    width = ((k + 1) * denom).bit_length()
+    ones = sum(1 << width * n for n in range(n_terms))
+    term_masses = _packed_term_masses(terms, width)
+    biases = [(denom - limit[a]) * ones for a in supp]
+    bits = [1 << i for i in range(k)]
+    passed = MassCheckOutcome(True, 0, None)
+    deficits = {}  # clearance -> packed biased deficits per atom, or None
+    for size in range(1, k + 1):
+        target = size * denom * ones
+        for combo in combinations(range(k), size):
+            if size == k:
+                clearance = whole
+            else:
+                mask = sum(map(bits.__getitem__, combo))
+                clearance = next(w for w, ends in edges if 0 != mask & ends != ends)
+            sep = SeparatingSet(frozenset(map(supp.__getitem__, combo)), clearance)
+            if clearance not in deficits:
+                deficits[clearance] = None
+                if 0 < clearance / 2 < clearance:
+                    deficits[clearance] = _packed_deficits(term_masses, biases, supp, rows, clearance)
+            packed = deficits[clearance]
+            if packed is None:
+                yield sep, separating_mass_check(sequence, sep, clearance / 2)
+                continue
+            differ = sum(map(packed.__getitem__, combo)) ^ target
+            if not differ:
+                yield sep, passed
+                continue
+            last = (differ.bit_length() - 1) // width
+            if last == n_terms - 1:
+                yield sep, MassCheckOutcome(False, None, last)
+            else:
+                yield sep, MassCheckOutcome(True, last + 1, last)
+
+
 def delta_sequence(sequence: MeasureSequence):
     """Bottleneck and W1 distances of each term to the limit."""
     deltas = [w_infinity(term, sequence.limit).value for term in sequence.terms]
@@ -212,8 +351,7 @@ def d_convergence_verdict(sequence: MeasureSequence, *, w1_threshold: float = 1e
 
     separating_fail = None
     stabilizations = []
-    for sep in separating_subsets(sequence.limit):
-        outcome = separating_mass_check(sequence, sep, sep.clearance / 2)
+    for sep, outcome in _separating_outcomes(sequence):
         if outcome.ok:
             stabilizations.append(outcome.stabilization_index)
         elif separating_fail is None:

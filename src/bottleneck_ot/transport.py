@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotProbability, SolverInvariantError, SpaceMismatch, TooLarge, UnsupportedP
 from .flows import max_flow, min_cost_max_flow, scale_masses
@@ -58,8 +58,13 @@ class TransportPlan:
 class SolveReport:
     value: float
     plan: TransportPlan
-    thresholds_tested: int
     feasibility_calls: int
+
+    @cached_property
+    def thresholds_tested(self) -> int:
+        """Number of candidate thresholds, the distinct distances between the
+        two supports plus 0; counted on first read, as no probe needs it."""
+        return len(candidate_thresholds(self.plan.mu, self.plan.nu))
 
 
 def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, probability: bool = True):
@@ -125,14 +130,9 @@ def feasible_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) ->
     return value == net.total
 
 
-def _thresholds(net: _Bipartite) -> set[float]:
-    """Distinct entries of the distance table, plus 0."""
-    return {0.0}.union(*net.table)
-
-
 def candidate_thresholds(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[float]:
     """Sorted distinct pairwise distances between the two supports, plus 0."""
-    return sorted(_thresholds(_Bipartite(mu, nu)))
+    return sorted({0.0}.union(*_Bipartite(mu, nu).table))
 
 
 def _covering_threshold(dists, need: int, offers, floor: float) -> float:
@@ -229,12 +229,7 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
         calls += 1
         value, pairs, flows = _flow_at_threshold(net, t)
     plan = TransportPlan(mu, nu, net.entries(pairs, flows[len(net.sources):]))
-    return SolveReport(
-        value=t,
-        plan=plan,
-        thresholds_tested=len(_thresholds(net)),
-        feasibility_calls=calls,
-    )
+    return SolveReport(value=t, plan=plan, feasibility_calls=calls)
 
 
 def w_infinity_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

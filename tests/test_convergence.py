@@ -1,12 +1,18 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from bottleneck_ot import convergence
 from bottleneck_ot.convergence import (
     CONSISTENT,
     INCONCLUSIVE,
     NOT_CONVERGENT,
+    MassCheckOutcome,
     MeasureSequence,
+    SeparatingSet,
+    _separating_outcomes,
     d_convergence_verdict,
     delta_sequence,
     separating_mass_check,
@@ -92,6 +98,35 @@ def test_mass_check_epsilon_bounds(two):
         separating_mass_check(seq, sep, sep.clearance)
     with pytest.raises(EpsilonTooLarge):
         separating_mass_check(seq, sep, 0.0)
+
+
+def test_outcomes_fall_back_where_a_term_atom_is_near_two_support_atoms(monkeypatch):
+    # x lies within 2 of both a and b, which are 4 apart: every set has
+    # clearance 4, and x's near set {a, b} is not pairwise closer than 4, so
+    # a cell cannot stand for x.  Giving x to a's cell would pass {b}.
+    space = build_space(["a", "b", "x"], "explicit-matrix",
+                        matrix=[[0, 4, 1], [4, 0, 1], [1, 1, 0]], validate=False)
+    half = Fraction(1, 2)
+    limit = make_measure(space, [(0, half), (1, half)])
+    term = make_measure(space, [(1, half), (2, half)])
+    seq = MeasureSequence.build([term, term], limit)
+    direct = [(sep, separating_mass_check(seq, sep, sep.clearance / 2))
+              for sep in separating_subsets(limit)]
+    calls = []
+    monkeypatch.setattr(convergence, "separating_mass_check",
+                        lambda *args: calls.append(args) or separating_mass_check(*args))
+    assert list(_separating_outcomes(seq)) == direct
+    assert len(calls) == len(direct) == 3
+    assert direct[1] == (SeparatingSet(frozenset({1}), 4.0), MassCheckOutcome(False, None, 1))
+
+
+def test_infinite_clearance_raises_as_the_direct_check():
+    space = build_space(["a", "b"], "explicit-matrix",
+                        matrix=[[0, math.inf], [math.inf, 0]], validate=False)
+    limit = make_measure(space, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    seq = MeasureSequence.build([limit, limit], limit)
+    with pytest.raises(EpsilonTooLarge, match=re.escape("epsilon must lie strictly inside (0, inf)")):
+        d_convergence_verdict(seq)
 
 
 def test_delta_sequence_constant_and_vanishing_atom(two):

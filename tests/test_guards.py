@@ -37,6 +37,9 @@ import random
 import sys
 from fractions import Fraction
 
+from bottleneck_ot.convergence import (
+    MeasureSequence, _separating_outcomes, separating_mass_check, separating_subsets,
+)
 from bottleneck_ot.decomposition import (
     DecompositionInstance, check_feasibility, decompose, feasibility_by_flow,
     verify_decomposition,
@@ -112,6 +115,27 @@ for seed in range(10):
     chased += report.feasibility_calls >= 2
 if not chased:
     failures.append("no two-cluster solve stepped past the singleton-Hall bound")
+
+# Separating-mass outcomes from cell deficits against one direct check per
+# set, on limits of up to 10 atoms and terms with mixed denominators.
+for seed in range(20):
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    space = build_space([f"p{i}" for i in range(n)], "euclidean",
+                        coords=[[rng.random(), rng.random()] for _ in range(n)])
+
+    def weights(atoms):
+        raw = [rng.randint(1, 9) for _ in atoms]
+        return make_measure(space, [(a, Fraction(r, sum(raw))) for a, r in zip(atoms, raw)])
+
+    limit = weights(rng.sample(range(n), rng.randint(1, min(n, 10))))
+    terms = [limit if rng.random() < 0.3 else weights(rng.sample(range(n), rng.randint(1, n)))
+             for _ in range(rng.randint(1, 8))]
+    sequence = MeasureSequence.build(terms, limit)
+    direct = [(sep, separating_mass_check(sequence, sep, sep.clearance / 2))
+              for sep in separating_subsets(limit)]
+    if list(_separating_outcomes(sequence)) != direct:
+        failures.append(f"separating outcomes, seed {seed}")
 if failures:
     sys.exit("mismatch: " + "; ".join(failures))
 print("ok")

@@ -105,6 +105,17 @@ def test_w_infinity_plan_is_exact_witness():
         assert report.value in set(candidate_thresholds(mu, nu))
 
 
+def test_thresholds_tested_counts_the_candidates_on_first_read():
+    rng = random.Random(6)
+    for _ in range(20):
+        space = random_space(rng, 6)
+        mu = random_probability_measure(rng, space, max_atoms=5)
+        nu = random_probability_measure(rng, space, max_atoms=5)
+        report = w_infinity(mu, nu)
+        assert "thresholds_tested" not in vars(report)
+        assert report.thresholds_tested == len(candidate_thresholds(mu, nu))
+
+
 def test_w_infinity_searches_past_the_singleton_hall_bound():
     # Every single atom is covered within sqrt(2), but the two right-hand
     # sources (2/3 of the mass) reach only the 1/2 at (3, 0) there.
