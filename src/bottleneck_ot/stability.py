@@ -333,25 +333,32 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
     gap = space.min_positive_gap()
     deltas = sorted(delta_grid)
 
+    def to_mu(m):
+        return w_infinity(m, mu).value
+
     def probes():
-        """(probe, label, seed, allowance); a sample is drawn just before its orbit."""
+        """(probe, label, seed, allowance, distance); a sample is drawn just
+        before its orbit, and its delta-ball check is its orbit's step 0."""
         for d_idx, delta in enumerate(deltas):
             for k in range(probes_per_cell):
                 child_seed = _child_seed(seed, d_idx, k)
                 maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
                 probe = maker(random.Random(child_seed), space, mu, delta)
-                if not w_infinity(probe, mu).value <= delta + 1e-12:
+                checked = to_mu(probe)
+                if not checked <= delta + 1e-12:
                     raise SolverInvariantError("sampled probe escaped its delta ball")
                 label = f"delta{delta:.6g}/{maker.__name__.strip('_')}{k}"
-                yield probe, label, child_seed, 2.0 * (delta + gap)
+                yield (probe, label, child_seed, 2.0 * (delta + gap),
+                       lambda m, probe=probe, checked=checked:
+                       checked if m is probe else to_mu(m))
         extra_allowance = 2.0 * ((deltas[-1] if deltas else gap) + gap)
         for label, probe in extra_probes:
-            yield probe, f"extra/{label}", None, extra_allowance
+            yield probe, f"extra/{label}", None, extra_allowance, to_mu
 
     records = [
-        _orbit_record(system.push, probe, horizon, lambda m: w_infinity(m, mu).value,
-                      label, child_seed, _freeze_weights(probe), allowance)
-        for probe, label, child_seed, allowance in probes()
+        _orbit_record(system.push, probe, horizon, distance, label, child_seed,
+                      _freeze_weights(probe), allowance)
+        for probe, label, child_seed, allowance, distance in probes()
     ]
     witness = next((record for record in records if record.exceeded()), None)
     return StabilityReport(

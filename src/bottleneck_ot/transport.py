@@ -10,6 +10,13 @@ starts at the singleton-Hall bound, below which a single atom's mass cannot
 be covered and which is most often the value, and each probe that falls short
 leaves a min cut, a set of atoms whose mass cannot be covered, whose covering
 threshold is the next probe.  Most solves take one max flow.
+
+Every solver checks its own result in integers: the units it routes on each
+pair, in the common denominator of both measures, must be nonnegative and add
+up to every atom's scaled mass exactly, or it raises ``SolverInvariantError``.
+A ``SolveReport`` keeps those checked units and builds its ``TransportPlan``,
+in ``Fraction`` masses, only when ``plan`` is first read; ``w_p`` builds no
+plan at all, and ``w_p_plan`` builds one from the same checked units.
 """
 from __future__ import annotations
 
@@ -54,17 +61,36 @@ class TransportPlan:
         return _power_mean((d ** p * float(mass) for d, mass in terms), terms, p)
 
 
+def _plan(mu: DiscreteMeasure, nu: DiscreteMeasure, denom: int, cells) -> TransportPlan:
+    """The plan of checked ``cells``, (source atom, target atom, units of 1/denom)."""
+    return TransportPlan(mu, nu, tuple((a, b, Fraction(u, denom)) for a, b, u in cells))
+
+
 @dataclass(frozen=True)
 class SolveReport:
+    """A W-infinity value with its checked optimal flow.
+
+    ``cells`` holds the flow's nonzero (source atom, target atom, units)
+    triples, units of 1/``denom``; no distance table is kept.
+    """
+
     value: float
-    plan: TransportPlan
     feasibility_calls: int
+    mu: DiscreteMeasure
+    nu: DiscreteMeasure
+    denom: int
+    cells: tuple
+
+    @cached_property
+    def plan(self) -> TransportPlan:
+        """The optimal plan, built and checked in ``Fraction``s on first read."""
+        return _plan(self.mu, self.nu, self.denom, self.cells)
 
     @cached_property
     def thresholds_tested(self) -> int:
         """Number of candidate thresholds, the distinct distances between the
         two supports plus 0; counted on first read, as no probe needs it."""
-        return len(candidate_thresholds(self.plan.mu, self.plan.nu))
+        return len(candidate_thresholds(self.mu, self.nu))
 
 
 def _require_comparable(mu: DiscreteMeasure, nu: DiscreteMeasure, probability: bool = True):
@@ -103,14 +129,26 @@ class _Bipartite:
             + [(1 + n + j, sink, d) for j, d in enumerate(self.demand)]
         )
 
-    def entries(self, pairs, units) -> tuple:
-        """Plan entries, in the order given, of the (i, j) pairs whose units are nonzero."""
-        denom = self.denom
-        return tuple(
-            (self.sources[i], self.targets[j], Fraction(f, denom))
-            for (i, j), f in zip(pairs, units)
-            if f
-        )
+    def cells(self, pairs, units) -> tuple:
+        """(source atom, target atom, units), in the order given, of the (i, j)
+        pairs whose units are nonzero.
+
+        The units must be nonnegative and route every supply and every demand
+        exactly; as the scaled masses are positive, this is the plan's
+        marginal check, made in integers.
+        """
+        rows, cols = [0] * len(self.sources), [0] * len(self.targets)
+        out = []
+        for (i, j), f in zip(pairs, units):
+            if f:
+                if f < 0:
+                    raise SolverInvariantError(f"negative flow {f} on pair {(i, j)}")
+                rows[i] += f
+                cols[j] += f
+                out.append((self.sources[i], self.targets[j], f))
+        if rows != self.supply or cols != self.demand:
+            raise SolverInvariantError("flow marginals do not match the scaled masses")
+        return tuple(out)
 
 
 def _flow_at_threshold(net: _Bipartite, t: float):
@@ -228,8 +266,8 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
         t = _next_threshold(net, t, _hall_violator(net, pairs, flows))
         calls += 1
         value, pairs, flows = _flow_at_threshold(net, t)
-    plan = TransportPlan(mu, nu, net.entries(pairs, flows[len(net.sources):]))
-    return SolveReport(value=t, plan=plan, feasibility_calls=calls)
+    cells = net.cells(pairs, flows[len(net.sources):])
+    return SolveReport(value=t, feasibility_calls=calls, mu=mu, nu=nu, denom=net.denom, cells=cells)
 
 
 def w_infinity_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -332,18 +370,9 @@ def w_p_enumerate(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
     return best(rows, cols) ** (1.0 / p)
 
 
-def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
-    """p-Wasserstein distance for p in {1, 2}: exact masses and integer costs,
-    by the transportation simplex (``w_p_enumerate`` is the independent oracle)."""
-    return w_p_plan(mu, nu, p)[0]
-
-
-def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
-    """Like ``w_p`` but also returns the optimal plan found by the simplex.
-
-    When every coupling moves mass across an infinite distance the value is
-    infinite and the plan is None.
-    """
+def _w_p_solve(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
+    """(value, denom, checked cells) of the simplex's optimal flow; the cells
+    are None when the value is infinite."""
     if p not in (1, 2):
         raise UnsupportedP(f"p must be 1 or 2, got {p}")
     _require_comparable(mu, nu)
@@ -353,13 +382,30 @@ def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
     if value != net.total:
         raise SolverInvariantError(
             f"transportation simplex routed {value} of {net.total} units of 1/{net.denom}")
-    cells = sorted(flows.items())
-    if any(distances[k] == math.inf for k, _ in cells):
-        return math.inf, None  # the rest of the mass can only cross an infinite distance
+    items = sorted(flows.items())
+    cells = net.cells([divmod(k, len(net.targets)) for k, _ in items], [f for _, f in items])
+    if any(distances[k] == math.inf for k, _ in items):
+        return math.inf, net.denom, None  # the rest of the mass can only cross an infinite distance
     cost = _power_mean(
-        (distances[k] ** p * f / net.denom for k, f in cells),
-        ((distances[k], Fraction(f, net.denom)) for k, f in cells),
+        (distances[k] ** p * f / net.denom for k, f in items),
+        ((distances[k], Fraction(f, net.denom)) for k, f in items),
         p,
     )
-    pairs = [divmod(k, len(net.targets)) for k, _ in cells]
-    return cost, TransportPlan(mu, nu, net.entries(pairs, [f for _, f in cells]))
+    return cost, net.denom, cells
+
+
+def w_p(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int) -> float:
+    """p-Wasserstein distance for p in {1, 2}: exact masses and integer costs,
+    by the transportation simplex (``w_p_enumerate`` is the independent oracle).
+    The simplex's flow is checked in integers, and no plan is built."""
+    return _w_p_solve(mu, nu, p)[0]
+
+
+def w_p_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int):
+    """Like ``w_p`` but also returns the optimal plan found by the simplex.
+
+    When every coupling moves mass across an infinite distance the value is
+    infinite and the plan is None.
+    """
+    value, denom, cells = _w_p_solve(mu, nu, p)
+    return value, None if cells is None else _plan(mu, nu, denom, cells)

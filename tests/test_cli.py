@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bottleneck_ot.cli import main
+from bottleneck_ot.errors import SolverInvariantError
 
 TWO_POINT_SPACE = {
     "points": ["x", "y"],
@@ -455,16 +456,47 @@ def test_stability_bad_arguments_exit_2_with_their_own_message(capsys, flags, me
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch, delta_x, delta_y):
-    # A plan whose marginals do not match is a solver bug: it must surface
-    # with its traceback, not as exit code 2.
+def test_w_infinity_flow_off_its_marginals_is_not_reported_as_bad_input(
+        monkeypatch, vanishing_atom_n4, delta_y):
+    # A max flow that moves one unit to another pair breaks the marginals: a
+    # solver bug, which must surface with its traceback, not as exit code 2.
     from bottleneck_ot import transport
 
-    entries = transport._Bipartite.entries
-    monkeypatch.setattr(transport._Bipartite, "entries",
-                        lambda self, pairs, flows: entries(self, pairs, flows)[1:])
-    with pytest.raises(ValueError, match="plan marginals do not match"):
-        main(["dist", delta_x, delta_y])
+    solve = transport.max_flow
+
+    def moved(n_nodes, edges, source, sink):
+        value, flows = solve(n_nodes, edges, source, sink)
+        pairs = [k for k, (u, v, _) in enumerate(edges) if u != source and v != sink]
+        src = next(k for k in pairs if flows[k])
+        dst = next(k for k in pairs if k != src)
+        flows = list(flows)
+        flows[src] -= 1
+        flows[dst] += 1
+        return value, flows
+
+    monkeypatch.setattr(transport, "max_flow", moved)
+    with pytest.raises(SolverInvariantError, match="flow marginals do not match"):
+        main(["dist", vanishing_atom_n4, delta_y])
+
+
+def test_w_p_flow_off_its_marginals_is_not_reported_as_bad_input(
+        monkeypatch, vanishing_atom_n4, delta_y):
+    from bottleneck_ot import transport
+
+    solve = transport.min_cost_max_flow
+
+    def moved(supply, distances, demand, p=1):
+        value, flows = solve(supply, distances, demand, p)
+        src = min(flows)
+        dst = next(k for k in range(len(distances)) if k != src)
+        flows = dict(flows)
+        flows[src] -= 1
+        flows[dst] = flows.get(dst, 0) + 1
+        return value, flows
+
+    monkeypatch.setattr(transport, "min_cost_max_flow", moved)
+    with pytest.raises(SolverInvariantError, match="flow marginals do not match"):
+        main(["dist", vanishing_atom_n4, delta_y, "--p", "1"])
 
 
 def _weights(*pairs):

@@ -142,9 +142,83 @@ print("ok")
 """
 
 
-def test_core_oracles_agree_under_python_O():
+def _run_optimized(script: str):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-O", "-c", ORACLE_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_core_oracles_agree_under_python_O():
+    _run_optimized(ORACLE_SCRIPT)
+
+
+FLOW_CHECK_SCRIPT = """
+import sys
+from fractions import Fraction
+
+from bottleneck_ot import transport
+from bottleneck_ot.errors import SolverInvariantError
+from bottleneck_ot.measures import make_measure
+from bottleneck_ot.spaces import build_space
+
+if __debug__:
+    sys.exit("asserts are on: run with python -O")
+space = build_space(["x", "y"], "euclidean", coords=[[0.0], [1.0]])
+mu = make_measure(space, [(0, Fraction(1, 4)), (1, Fraction(3, 4))])
+nu = make_measure(space, [(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+max_flow, min_cost_max_flow = transport.max_flow, transport.min_cost_max_flow
+
+
+def off_by_one_unit(n_nodes, edges, source, sink):
+    value, flows = max_flow(n_nodes, edges, source, sink)
+    pairs = [k for k, (u, v, _) in enumerate(edges) if u != source and v != sink]
+    src = next(k for k in pairs if flows[k])
+    flows = list(flows)
+    flows[src] -= 1
+    flows[next(k for k in pairs if k != src)] += 1
+    return value, flows
+
+
+def off_by_one_cell(supply, distances, demand, p=1):
+    value, flows = min_cost_max_flow(supply, distances, demand, p)
+    src = min(flows)
+    dst = next(k for k in range(len(distances)) if k != src)
+    flows = dict(flows)
+    flows[src] -= 1
+    flows[dst] = flows.get(dst, 0) + 1
+    return value, flows
+
+
+failures = []
+transport.max_flow = off_by_one_unit
+try:
+    transport.w_infinity(mu, nu)
+    failures.append("w_infinity accepted a flow off its marginals")
+except SolverInvariantError:
+    pass
+transport.max_flow = max_flow
+transport.min_cost_max_flow = off_by_one_cell
+for solve in (lambda: transport.w_p(mu, nu, 1), lambda: transport.w_p_plan(mu, nu, 2)):
+    try:
+        solve()
+        failures.append("w_p accepted a flow off its marginals")
+    except SolverInvariantError:
+        pass
+transport.min_cost_max_flow = min_cost_max_flow
+# A cycle of +-1 keeps every marginal and leaves a negative unit.
+net = transport._Bipartite(nu, nu)
+try:
+    net.cells([(0, 0), (0, 1), (1, 0), (1, 1)], [2, -1, -1, 2])
+    failures.append("a negative unit was accepted")
+except SolverInvariantError:
+    pass
+if failures:
+    sys.exit("; ".join(failures))
+print("ok")
+"""
+
+
+def test_solver_flow_checks_raise_under_python_O():
+    _run_optimized(FLOW_CHECK_SCRIPT)

@@ -448,6 +448,30 @@ def test_torus_lopsided_perturbation_explodes_at_half_turn():
     assert back == pytest.approx(1 / 8, abs=0.0)
 
 
+def test_measure_lyapunov_solves_each_sampled_probe_once(monkeypatch):
+    # The delta-ball check of a sampled probe is its orbit's step 0: one
+    # solve per orbit step, the extra probes included, and none more.
+    from bottleneck_ot import stability
+
+    sc = scenario_torus_shear(8)
+    solved = []
+
+    def counted(m, target):
+        solved.append(m)
+        return w_infinity(m, target)
+
+    monkeypatch.setattr(stability, "w_infinity", counted)
+    report = probe_measure_lyapunov(
+        sc.system, sc.uniform_row(0), list(sc.default_delta_grid), horizon=3,
+        probes_per_cell=2, seed=0, extra_probes=[("uniform_row1", sc.uniform_row(1))],
+    )
+    assert len(solved) == 4 * len(report.records)
+    monkeypatch.undo()
+    for record in report.records:
+        probe = measure_from_frozen(sc.system.space, record.weights)
+        assert record.distances[0] == w_infinity(probe, sc.uniform_row(0)).value
+
+
 def test_torus_measure_lyapunov_uniform_stable_lopsided_excursion():
     # At the coarse 8-grid the uniform row absorbs its row-1 copy at the row
     # gap forever, while the lopsided row's copy wanders to twice that during

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -114,6 +117,52 @@ def test_thresholds_tested_counts_the_candidates_on_first_read():
         report = w_infinity(mu, nu)
         assert "thresholds_tested" not in vars(report)
         assert report.thresholds_tested == len(candidate_thresholds(mu, nu))
+        assert "plan" not in vars(report)
+
+
+def _reports(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        space = random_space(rng, 6)
+        mu = random_probability_measure(rng, space, max_atoms=5)
+        nu = random_probability_measure(rng, space, max_atoms=5)
+        yield mu, nu, w_infinity(mu, nu)
+
+
+def test_a_report_holds_the_measures_and_integer_cells_only():
+    # No distance table, no network and no plan until the plan is read.
+    for mu, nu, report in _reports(8, 20):
+        fields = {f.name for f in dataclasses.fields(report)}
+        assert fields == {"value", "feasibility_calls", "mu", "nu", "denom", "cells"}
+        assert set(vars(report)) == fields
+        assert type(report.value) is float
+        assert type(report.feasibility_calls) is int and type(report.denom) is int
+        assert report.mu is mu and report.nu is nu
+        assert type(report.cells) is tuple and report.cells
+        for cell in report.cells:
+            assert type(cell) is tuple and len(cell) == 3
+            assert all(type(x) is int for x in cell)
+
+
+def test_a_replaced_report_builds_its_plan():
+    for _, _, report in _reports(9, 10):
+        moved = dataclasses.replace(report, value=0.0)
+        assert moved.value == 0.0
+        assert moved.plan.entries == report.plan.entries
+
+
+def test_threads_reading_one_report_get_equal_plans():
+    for mu, nu, report in _reports(10, 5):
+        ready = threading.Barrier(4)
+
+        def read(_):
+            ready.wait()
+            return report.plan.entries
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seen = list(pool.map(read, range(4)))
+        assert all(entries == seen[0] for entries in seen)
+        assert TransportPlan(mu, nu, seen[0]).bottleneck() == report.value
 
 
 def test_w_infinity_searches_past_the_singleton_hall_bound():

@@ -26,9 +26,11 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from bottleneck_ot import transport
+from bottleneck_ot.flows import min_cost_max_flow
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import METRIC_RULES, build_space
 from bottleneck_ot.transport import (
+    TransportPlan,
     _Bipartite,
     _flow_at_threshold,
     _singleton_hall_bound,
@@ -112,7 +114,34 @@ def test_w_infinity_search_starts_at_a_lower_bound(rule, data):
         assert report.feasibility_calls == 1
     value, pairs, flows = _flow_at_threshold(net, report.value)
     assert value == net.total
-    assert report.plan.entries == net.entries(pairs, flows[len(net.sources):])
+    assert report.plan.entries == _eager_entries(mu, nu, net, pairs, flows[len(net.sources):])
+
+
+def _eager_entries(mu, nu, net, pairs, units) -> tuple:
+    """The entries of a flow's plan, built at once and checked in Fractions."""
+    entries = tuple((net.sources[i], net.targets[j], Fraction(f, net.denom))
+                    for (i, j), f in zip(pairs, units) if f)
+    return TransportPlan(mu, nu, entries).entries
+
+
+@pytest.mark.parametrize("rule", METRIC_RULES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_plans_read_late_equal_the_plans_built_at_once_from_the_same_flows(rule, data):
+    space = data.draw(spaces(rule))
+    mu, nu = data.draw(measures(space)), data.draw(measures(space))
+    net = _Bipartite(mu, nu)
+    report = w_infinity(mu, nu)
+    assert "plan" not in vars(report)
+    _, pairs, flows = _flow_at_threshold(net, report.value)
+    assert report.plan.entries == _eager_entries(mu, nu, net, pairs, flows[len(net.sources):])
+    distances = [d for row in net.table for d in row]
+    for p in (1, 2):
+        _, cells = min_cost_max_flow(net.supply, distances, net.demand, p)
+        ks = sorted(cells)
+        pairs = [divmod(k, len(net.targets)) for k in ks]
+        eager = _eager_entries(mu, nu, net, pairs, [cells[k] for k in ks])
+        assert w_p_plan(mu, nu, p)[1].entries == eager
 
 
 @st.composite
