@@ -241,9 +241,14 @@ def _check_stability_numbers(args) -> None:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise MalformedInput(f"--tol must be finite and >= 0, got {args.tol}")
     for flag, values in (("--eps", args.eps), ("--delta", args.delta), ("--d-xy", [args.d_xy])):
-        for value in values or ():
-            if not (math.isfinite(value) and value > 0):
-                raise MalformedInput(f"{flag} must be finite and > 0, got {value}")
+        _check_radii(flag, values or ())
+
+
+def _check_radii(flag: str, values) -> None:
+    """Reject radii that are not finite and positive."""
+    for value in values:
+        if not (math.isfinite(value) and value > 0):
+            raise MalformedInput(f"{flag} must be finite and > 0, got {value}")
 
 
 def cmd_stability(args) -> int:
@@ -279,6 +284,11 @@ def cmd_stability(args) -> int:
         raise MalformedInput("measure-lyapunov needs --measure")
     if notion != "measure-lyapunov" and atoms is None:
         raise MalformedInput(f"{notion} needs --set")
+    # The radii in use, defaults included: a one-point space's default grid is (0, 0).
+    if notion not in ("asymptotic", "attractor"):
+        _check_radii("--delta", deltas)
+    if notion != "measure-lyapunov":
+        _check_radii("--eps", epses)
     eps = max(epses)
     if notion == "measure-lyapunov":
         report = probe_measure_lyapunov(
@@ -294,9 +304,10 @@ def cmd_stability(args) -> int:
             system, atoms, eps, horizon, args.probes, args.seed, args.tol
         )
     elif notion == "attractor":
-        if args.n_max is not None and args.n_max < 1:
-            raise MalformedInput(f"--n-max must be >= 1, got {args.n_max}")
-        report = probe_attractor(system, atoms, eps, horizon if args.n_max is None else args.n_max)
+        flag, n_max = ("--horizon", horizon) if args.n_max is None else ("--n-max", args.n_max)
+        if n_max < 1:
+            raise MalformedInput(f"{flag} must be >= 1, got {n_max}")
+        report = probe_attractor(system, atoms, eps, n_max)
     elif notion == "exponential":
         grid = [d for d in deltas if d < eps] or [eps / 2]
         report = probe_exponential(system, atoms, eps, grid, horizon)

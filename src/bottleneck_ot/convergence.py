@@ -34,6 +34,7 @@ from .spaces import hausdorff, same_space
 from .transport import w_infinity, w_p
 
 SUPPORT_CAP = 12
+NEGLIGIBLE = 1e-6  # a term's W1 or Delta at or below it counts as reaching the limit
 
 CONSISTENT = "ConsistentWithDConvergence"
 NOT_CONVERGENT = "NotDConvergent"
@@ -302,13 +303,13 @@ class ConvergenceReport:
         return next(v for v in self.verdicts if v.name == name)
 
 
-def _w_proxy_verdict(w1s, threshold: float) -> CriterionVerdict:
+def _w_proxy_verdict(w1s) -> CriterionVerdict:
     tail = w1s[-3:]
-    small = all(v <= threshold for v in tail)
+    small = all(v <= NEGLIGIBLE for v in tail)
     monotone = all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
     if small and monotone:
         index = len(w1s)
-        while index > 0 and w1s[index - 1] <= threshold:
+        while index > 0 and w1s[index - 1] <= NEGLIGIBLE:
             index -= 1
         return CriterionVerdict("w-proxy", True, stabilization_index=index)
     improving = len(w1s) >= 2 and w1s[-1] < w1s[-2] - 1e-15
@@ -330,16 +331,15 @@ def _support_verdict(h_values) -> CriterionVerdict:
     )
 
 
-def _direct_verdict_label(deltas, threshold: float) -> str:
-    if deltas[-1] <= threshold:
+def _direct_verdict_label(deltas) -> str:
+    if deltas[-1] <= NEGLIGIBLE:
         return CONSISTENT
     if len(deltas) == 1 or deltas[-1] >= deltas[-2] - 1e-15:
         return NOT_CONVERGENT
     return INCONCLUSIVE
 
 
-def d_convergence_verdict(sequence: MeasureSequence, *, w1_threshold: float = 1e-6,
-                          delta_threshold: float = 1e-6) -> ConvergenceReport:
+def d_convergence_verdict(sequence: MeasureSequence) -> ConvergenceReport:
     """Run all four checks and reconcile them into one evidence-qualified verdict."""
     if len(sequence) < 2:
         raise MalformedInput("need a prefix of length >= 2")
@@ -347,7 +347,7 @@ def d_convergence_verdict(sequence: MeasureSequence, *, w1_threshold: float = 1e
     space = sequence.space
     limit_supp = sequence.limit.support()
 
-    w_proxy = _w_proxy_verdict(w1s, w1_threshold)
+    w_proxy = _w_proxy_verdict(w1s)
 
     separating_fail = None
     stabilizations = []
@@ -369,7 +369,7 @@ def d_convergence_verdict(sequence: MeasureSequence, *, w1_threshold: float = 1e
     h_values = [hausdorff(space, term.support(), limit_supp) for term in sequence.terms]
     support_v = _support_verdict(h_values)
 
-    direct = _direct_verdict_label(deltas, delta_threshold)
+    direct = _direct_verdict_label(deltas)
     delta_v = CriterionVerdict(
         "direct-delta",
         direct == CONSISTENT,

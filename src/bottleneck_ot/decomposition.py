@@ -34,7 +34,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import CasePreconditionViolated, InfeasibleInstance, MalformedInput, SolverInvariantError, TooManySets
-from .flows import max_flow, scale_masses
+from .flows import bipartite_network, max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure, make_measure
 
 FEASIBILITY_CAP = 14
@@ -178,30 +178,19 @@ def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
 def feasibility_by_flow(instance: DecompositionInstance) -> bool:
     """Independent oracle: targets route through a set-to-atom bipartite graph.
 
-    Set node i supplies x_i, atom a absorbs xi({a}), and an uncapacitated
-    edge i -> a exists iff a in B_i.
+    Set i is a row supplying x_i, atom a a column absorbing xi({a}), and
+    (i, a) is a pair of ``flows.bipartite_network`` iff a in B_i.
     The Hall conditions hold iff the max flow saturates every supply and the
     totals agree.
     """
-    m = instance.m
     weights = instance.xi.weights
     atoms = sorted(weights)
     if instance.xi.total_mass != sum(instance.targets, start=ZERO):
         return False
     _, (supply, demand) = scale_masses(instance.targets, [weights[a] for a in atoms])
-    total = sum(supply)
-    atom_pos = {a: 1 + m + k for k, a in enumerate(atoms)}
-    sink = 1 + m + len(atoms)
-    edges = []
-    for i in range(m):
-        edges.append((0, 1 + i, supply[i]))
-        for a in instance.sets[i]:
-            if a in atom_pos:
-                edges.append((1 + i, atom_pos[a], total))
-    for a, d in zip(atoms, demand):
-        edges.append((atom_pos[a], sink, d))
-    value, _ = max_flow(sink + 1, edges, 0, sink)
-    return value == total
+    column = {a: k for k, a in enumerate(atoms)}
+    pairs = [(i, column[a]) for i, block in enumerate(instance.sets) for a in block if a in column]
+    return max_flow(*bipartite_network(supply, demand, pairs))[0] == sum(supply)
 
 
 def arrangement(instance: DecompositionInstance):

@@ -2,7 +2,11 @@
 
 Each solve scales its masses to integers once, by their common denominator
 (``scale_masses``), and builds every network from those integers; no flow
-routine sees a ``Fraction``.  ``max_flow`` is Dinic's algorithm.
+routine sees a ``Fraction``.  ``max_flow`` is Dinic's algorithm; it also
+returns the nodes that its last search reached, the source side of a minimum
+cut (Ford & Fulkerson 1956).  On ``bipartite_network``, the one network of
+the package's Hall questions, the rows of a short flow's cut supply more than
+the columns paired with them demand.
 
 ``min_cost_max_flow`` solves the transportation problem, the min-cost max
 flow of a complete bipartite network, by the primal transportation simplex
@@ -59,7 +63,7 @@ def _residual(n_nodes: int, edges):
     head: list[list[int]] = [[] for _ in range(n_nodes)]
     to: list[int] = []
     cap: list[int] = []
-    for k, (u, v, c, *_) in enumerate(edges):
+    for k, (u, v, c) in enumerate(edges):
         head[u].append(2 * k)
         head[v].append(2 * k + 1)
         to += (v, u)
@@ -67,12 +71,33 @@ def _residual(n_nodes: int, edges):
     return head, to, cap
 
 
+def bipartite_network(supply, demand, pairs):
+    """``max_flow``'s arguments (n_nodes, edges, source, sink) for the network
+    source -> rows -> columns -> sink, with n rows and m columns.
+
+    Nodes: 0 is the source, 1 + i row i, 1 + n + j column j, 1 + n + m the
+    sink.  Edges: i < n is source -> row i of capacity ``supply[i]``, n + k
+    is the pair ``pairs[k]`` = (i, j) with room for the whole supply, and
+    n + len(pairs) + j is column j -> sink of capacity ``demand[j]``.
+    """
+    n, m = len(supply), len(demand)
+    sink = 1 + n + m
+    total = sum(supply)
+    edges = [(0, 1 + i, s) for i, s in enumerate(supply)]
+    edges += [(1 + i, 1 + n + j, total) for i, j in pairs]
+    edges += [(1 + n + j, sink, d) for j, d in enumerate(demand)]
+    return sink + 1, edges, 0, sink
+
+
 def max_flow(n_nodes: int, edges, source: int, sink: int):
     """Exact max flow by Dinic's algorithm.
 
     ``edges`` is a sequence of (u, v, capacity) with nonnegative integer
-    capacities.  Returns (value, flows) where ``flows[k]`` is the flow on
-    edge k.
+    capacities.  Returns (value, flows, reached) where ``flows[k]`` is the
+    flow on edge k and ``reached[v]`` tells whether the last search, the one
+    that found no path to the sink, reached node v.  The reached nodes are
+    the source side of a minimum cut: the capacity of the edges leaving them
+    is the value.
     """
     head, to, cap = _residual(n_nodes, edges)
     value = 0
@@ -88,7 +113,7 @@ def max_flow(n_nodes: int, edges, source: int, sink: int):
                     level[v] = next_level
                     queue.append(v)
         if level[sink] < 0:
-            return value, cap[1::2]
+            return value, cap[1::2], [depth >= 0 for depth in level]
         # Blocking flow: walk the level graph along each node's current arc,
         # retreat from dead ends, augment at the sink, then resume at the tail
         # of the first saturated edge (where a restart would arrive).

@@ -32,6 +32,7 @@ from .transport import w_infinity
 STABLE = "StableAtResolution"
 UNSTABLE = "UnstableWitness"
 INCONCLUSIVE = "Inconclusive"
+R2_FLOOR = 0.99  # the least r^2 of a log-linear decay fit that counts as geometric
 
 
 def _steps(n: int) -> range:
@@ -403,6 +404,8 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
     A = _invariant_target(system, A)
     space = system.space
     U = space.neighborhood(A, eps)
+    if not U:
+        raise EmptySet(f"no point within eps={eps!r} of the set")
     # The forward images of U are eventually periodic: walk them once, to the
     # first repeat.  images[i] is f^(i+1)(U), and they cycle from index start.
     seen: dict[frozenset, int] = {}
@@ -472,8 +475,8 @@ def _log_linear_fit(points):
     return slope, intercept, r2
 
 
-def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int,
-                      r2_floor: float = 0.99) -> StabilityReport:
+def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
+                      horizon: int) -> StabilityReport:
     """Fit a decay rate to the Hausdorff distance of shrinking closed
     neighborhoods; stable when every tested neighborhood decays geometrically."""
     A = _invariant_target(system, A)
@@ -502,14 +505,14 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid, horizon: int
         h0 = h[0] if h[0] > 0 else max(h)
         C = max(v * math.exp(lam * n) / h0 for n, v in positive)
         fits[delta] = {"lambda": lam, "C": C, "r2": r2, "collapsed": False}
-        if not (lam > 0.0 and r2 >= r2_floor):
+        if not (lam > 0.0 and r2 >= R2_FLOOR):
             stable = False
             if witness is None:
                 witness = record
     return StabilityReport(
         notion="exponential",
         params={"set": sorted(A), "eps": eps, "delta_grid": sorted(delta_grid),
-                "horizon": horizon, "r2_floor": r2_floor,
+                "horizon": horizon, "r2_floor": R2_FLOOR,
                 "fits": {f"{d:.12g}": v for d, v in fits.items()}},
         verdict=STABLE if stable else UNSTABLE,
         witness=witness,

@@ -5,11 +5,13 @@ smallest threshold t, among the pairwise support distances, at which a coupling
 confined to pairs within distance t exists.  Feasibility is an exact max-flow
 question with rational capacities, so the returned value is always a verbatim
 entry of the distance matrix (or 0) and never a rounded quantity.  The search
-is a chase of lower bounds from Hall's condition (Hall 1935; Gale 1957): it
+is a chase of lower bounds from Hall's condition (Hall 1935; Gale 1957).  It
 starts at the singleton-Hall bound, below which a single atom's mass cannot
-be covered and which is most often the value, and each probe that falls short
-leaves a min cut, a set of atoms whose mass cannot be covered, whose covering
-threshold is the next probe.  Most solves take one max flow.
+be covered and which is most often the value.  A probe that falls short is
+certified by the min cut that ``flows.max_flow`` reports: the atoms of mu
+that its last search reached hold more mass than nu holds within the
+threshold of them.  The least threshold at which nu covers that set is the
+next probe.  Most solves take one max flow.
 
 Every solver checks its own result in integers: the units it routes on each
 pair, in the common denominator of both measures, must be nonnegative and add
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import NotProbability, SolverInvariantError, SpaceMismatch, TooLarge, UnsupportedP
-from .flows import max_flow, min_cost_max_flow, scale_masses
+from .flows import bipartite_network, max_flow, min_cost_max_flow, scale_masses
 from .measures import ZERO, DiscreteMeasure
 from .spaces import same_space
 
@@ -107,7 +109,7 @@ class _Bipartite:
 
     Supports are sorted; masses are scaled to integers by ``denom`` (``total``
     is mu's); ``table[i][j]`` is the distance from ``sources[i]`` to
-    ``targets[j]``.  Node 0 is the source, then mu's atoms, nu's atoms, the sink.
+    ``targets[j]``.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -116,18 +118,8 @@ class _Bipartite:
             [mu.weights[a] for a in self.sources], [nu.weights[b] for b in self.targets]
         )
         self.total = sum(self.supply)
-        self.sink = 1 + len(self.sources) + len(self.targets)
         rows = map(mu.space.row, self.sources)
         self.table = [[row[b] for b in self.targets] for row in rows]
-
-    def edges(self, pairs):
-        """Supply edges, an uncapacitated edge per (i, j) pair, demand edges."""
-        n, sink, total = len(self.sources), self.sink, self.total
-        return (
-            [(0, 1 + i, s) for i, s in enumerate(self.supply)]
-            + [(1 + i, 1 + n + j, total) for i, j in pairs]
-            + [(1 + n + j, sink, d) for j, d in enumerate(self.demand)]
-        )
 
     def cells(self, pairs, units) -> tuple:
         """(source atom, target atom, units), in the order given, of the (i, j)
@@ -152,20 +144,20 @@ class _Bipartite:
 
 
 def _flow_at_threshold(net: _Bipartite, t: float):
-    """Exact max flow on the pairs with d <= t: (value, pairs, edge flows)."""
+    """Exact max flow on the pairs with d <= t, in ``bipartite_network``'s
+    layout: (value, pairs, edge flows, nodes reached)."""
     pairs = [
         (i, j) for i, row in enumerate(net.table) for j, d in enumerate(row) if d <= t
     ]
-    value, flows = max_flow(net.sink + 1, net.edges(pairs), 0, net.sink)
-    return value, pairs, flows
+    value, flows, reached = max_flow(*bipartite_network(net.supply, net.demand, pairs))
+    return value, pairs, flows, reached
 
 
 def feasible_at_threshold(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> bool:
     """True iff a coupling supported on pairs with d(i, j) <= t exists."""
     _require_comparable(mu, nu)
     net = _Bipartite(mu, nu)
-    value, _, _ = _flow_at_threshold(net, t)
-    return value == net.total
+    return _flow_at_threshold(net, t)[0] == net.total
 
 
 def candidate_thresholds(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[float]:
@@ -204,38 +196,10 @@ def _singleton_hall_bound(net: _Bipartite) -> float:
     return bound
 
 
-def _hall_violator(net: _Bipartite, pairs, flows) -> list[int]:
-    """The sources reachable from the source in the residual graph of a max
-    flow that fell short: the source side S of a min cut.
-
-    Every pair edge is open forward, so S's neighbours are all reached, and
-    the cut, supply outside S plus demand of N_t(S), is the flow value, less
-    than the total: supply(S) > demand(N_t(S)).
-    """
-    n = len(net.sources)
-    reached = [f < s for f, s in zip(flows, net.supply)]
-    ahead: list[list[int]] = [[] for _ in range(n)]
-    back: list[list[int]] = [[] for _ in net.targets]
-    for (i, j), f in zip(pairs, flows[n:]):
-        ahead[i].append(j)
-        if f:
-            back[j].append(i)
-    seen = [False] * len(net.targets)
-    queue = [i for i in range(n) if reached[i]]
-    for i in queue:
-        for j in ahead[i]:
-            if not seen[j]:
-                seen[j] = True
-                for k in back[j]:
-                    if not reached[k]:
-                        reached[k] = True
-                        queue.append(k)
-    return [i for i in range(n) if reached[i]]
-
-
 def _next_threshold(net: _Bipartite, t: float, violator: list[int]) -> float:
-    """Least threshold at which nu's mass within it covers mu's mass on a set
-    that violates Hall's condition at t: a lower bound on the value above t."""
+    """Least threshold at which nu's mass within it covers mu's mass on
+    ``violator``, a set that violates Hall's condition at t such as the rows
+    of a short max flow's min cut: a lower bound on the value above t."""
     table = net.table
     dists = list(map(min, zip(*(table[i] for i in violator))))
     nxt = _covering_threshold(dists, sum(net.supply[i] for i in violator), net.demand, t)
@@ -249,24 +213,26 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
 
     Every probe is a max flow at a threshold that is a proven lower bound on
     the value, so the first probe that routes all mass is at the value.  The
-    chase starts at the singleton-Hall bound, most often the value.  A probe
-    that falls short leaves a min cut whose source side S violates Hall's
-    condition; the next probe is at the least threshold at which nu's mass
-    within it covers mu(S), strictly higher and still at most the value.
+    chase starts at the singleton-Hall bound, most often the value.  In a
+    probe that falls short, the atoms of mu that the max flow's last search
+    reached form a set S that violates Hall's condition; the next probe is
+    at the least threshold at which nu's mass within it covers mu(S),
+    strictly higher and still at most the value.
     ``feasibility_calls`` counts the probes, one max flow each, so it is 1
     when the bound is the value.  The plan is the max flow of the last probe,
     at exactly the optimal threshold.
     """
     _require_comparable(mu, nu)
     net = _Bipartite(mu, nu)
+    n = len(net.sources)
     t = _singleton_hall_bound(net)
     calls = 1
-    value, pairs, flows = _flow_at_threshold(net, t)
+    value, pairs, flows, reached = _flow_at_threshold(net, t)
     while value != net.total:
-        t = _next_threshold(net, t, _hall_violator(net, pairs, flows))
+        t = _next_threshold(net, t, [i for i in range(n) if reached[1 + i]])
         calls += 1
-        value, pairs, flows = _flow_at_threshold(net, t)
-    cells = net.cells(pairs, flows[len(net.sources):])
+        value, pairs, flows, reached = _flow_at_threshold(net, t)
+    cells = net.cells(pairs, flows[n:])
     return SolveReport(value=t, feasibility_calls=calls, mu=mu, nu=nu, denom=net.denom, cells=cells)
 
 

@@ -346,6 +346,32 @@ def test_stability_trace_csv_written(capsys, tmp_path):
     assert trace.read_text().startswith("n,probe,distance")
 
 
+ONE_POINT_SYSTEM = {"space": {"points": ["a"], "metric": "euclidean", "coords": [[0.0]]},
+                    "map": {"a": "a"}}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--notion", "attractor"], "--eps must be finite and > 0, got 0.0"),
+    (["--notion", "attractor", "--horizon", "0"], "--eps must be finite and > 0, got 0.0"),
+    (["--notion", "lyapunov"], "--delta must be finite and > 0, got 0.0"),
+], ids=["attractor", "attractor-zero-horizon", "lyapunov"])
+def test_stability_rejects_the_zero_default_radii_of_a_one_point_system(capsys, tmp_path, flags, message):
+    # A one-point space has diameter 0, so its default grid is (0, 0): eps = 0
+    # would leave the attractor an empty neighbourhood.
+    system = write(tmp_path / "one.json", ONE_POINT_SYSTEM)
+    assert main(["stability", "--system", system, "--set", "a"] + flags) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_stability_one_point_system_with_a_radius_is_an_attractor(capsys, tmp_path):
+    system = write(tmp_path / "one.json", ONE_POINT_SYSTEM)
+    code, out = run(capsys, ["stability", "--system", system, "--notion", "attractor",
+                             "--set", "a", "--eps", "0.5"])
+    assert code == 0
+    assert "verdict StableAtResolution" in out
+
+
 def test_stability_needs_scenario_or_system(capsys):
     assert main(["stability", "--notion", "lyapunov", "--set", "row0"]) == 2
 
@@ -437,6 +463,8 @@ def test_stability_exponential_cli(capsys):
      "--horizon must be >= 0, got -1"),
     (["--scenario", "sink_source", "--notion", "attractor", "--set", "sink", "--n-max", "0"],
      "--n-max must be >= 1, got 0"),
+    (["--scenario", "sink_source", "--notion", "attractor", "--set", "sink", "--horizon", "0"],
+     "--horizon must be >= 1, got 0"),
     (["--scenario", "sink_source", "--notion", "lyapunov", "--set", "sink", "--probes=-1"],
      "--probes must be >= 0, got -1"),
     (["--scenario", "sink_source", "--notion", "asymptotic", "--set", "sink", "--tol=-1"],
@@ -448,8 +476,8 @@ def test_stability_exponential_cli(capsys):
      "--delta must be finite and > 0, got 0.0"),
     (["--scenario", "sink_source", "--d-xy=-1", "--notion", "attractor", "--set", "sink"],
      "--d-xy must be finite and > 0, got -1.0"),
-], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max", "negative-probes",
-        "negative-tol", "nan-eps", "zero-delta", "negative-d-xy"])
+], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max", "zero-horizon-as-n-max",
+        "negative-probes", "negative-tol", "nan-eps", "zero-delta", "negative-d-xy"])
 def test_stability_bad_arguments_exit_2_with_their_own_message(capsys, flags, message):
     assert main(["stability"] + flags) == 2
     captured = capsys.readouterr()
@@ -465,14 +493,14 @@ def test_w_infinity_flow_off_its_marginals_is_not_reported_as_bad_input(
     solve = transport.max_flow
 
     def moved(n_nodes, edges, source, sink):
-        value, flows = solve(n_nodes, edges, source, sink)
+        value, flows, reached = solve(n_nodes, edges, source, sink)
         pairs = [k for k, (u, v, _) in enumerate(edges) if u != source and v != sink]
         src = next(k for k in pairs if flows[k])
         dst = next(k for k in pairs if k != src)
         flows = list(flows)
         flows[src] -= 1
         flows[dst] += 1
-        return value, flows
+        return value, flows, reached
 
     monkeypatch.setattr(transport, "max_flow", moved)
     with pytest.raises(SolverInvariantError, match="flow marginals do not match"):

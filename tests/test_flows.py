@@ -11,9 +11,11 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottleneck_ot import cli, fileio
-from bottleneck_ot.flows import max_flow, min_cost_max_flow, scale_masses
+from bottleneck_ot.flows import bipartite_network, max_flow, min_cost_max_flow, scale_masses
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import build_space
 from bottleneck_ot.transport import w_infinity, w_p, w_p_plan
@@ -32,11 +34,47 @@ def test_scale_masses_uses_the_common_denominator():
 def test_max_flow_on_a_small_network():
     # Classic four-node diamond with a cross edge; the min cut is {s} -> 2 + 3.
     edges = [(0, 1, 3), (0, 2, 2), (1, 2, 5), (1, 3, 2), (2, 3, 3)]
-    value, flows = max_flow(4, edges, 0, 3)
+    value, flows, reached = max_flow(4, edges, 0, 3)
     assert value == 5
     assert flows[0] + flows[1] == 5 and flows[3] + flows[4] == 5
     for (u, v, cap), f in zip(edges, flows):
         assert 0 <= f <= cap
+    assert reached == [True, False, False, False]
+
+
+@st.composite
+def networks(draw):
+    """Up to 7 nodes and 20 edges, parallel edges and 2-cycles included."""
+    n = draw(st.integers(2, 7))
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 9))
+                          .filter(lambda e: e[0] != e[1]), max_size=20))
+    return n, edges, source, sink
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(networks())
+def test_max_flow_reports_a_minimum_cut(network):
+    n_nodes, edges, source, sink = network
+    value, flows, reached = max_flow(n_nodes, edges, source, sink)
+    net = [0] * n_nodes
+    for (u, v, cap), f in zip(edges, flows):
+        assert 0 <= f <= cap
+        net[u] -= f
+        net[v] += f
+    assert net[sink] == value == -net[source]
+    assert all(x == 0 for k, x in enumerate(net) if k not in (source, sink))
+    # No flow exceeds the capacity of a cut, so a cut of capacity equal to
+    # the value is a minimum one.
+    assert reached[source] and not reached[sink]
+    assert value == sum(cap for u, v, cap in edges if reached[u] and not reached[v])
+
+
+def test_bipartite_network_layout():
+    n_nodes, edges, source, sink = bipartite_network([2, 1], [3], [(0, 0), (1, 0)])
+    assert (n_nodes, source, sink) == (5, 0, 4)
+    assert edges == [(0, 1, 2), (0, 2, 1), (1, 3, 3), (2, 3, 3), (3, 4, 3)]
 
 
 def test_transportation_simplex_pivots_away_from_a_poor_start():

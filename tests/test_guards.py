@@ -172,13 +172,13 @@ max_flow, min_cost_max_flow = transport.max_flow, transport.min_cost_max_flow
 
 
 def off_by_one_unit(n_nodes, edges, source, sink):
-    value, flows = max_flow(n_nodes, edges, source, sink)
+    value, flows, reached = max_flow(n_nodes, edges, source, sink)
     pairs = [k for k, (u, v, _) in enumerate(edges) if u != source and v != sink]
     src = next(k for k in pairs if flows[k])
     flows = list(flows)
     flows[src] -= 1
     flows[next(k for k in pairs if k != src)] += 1
-    return value, flows
+    return value, flows, reached
 
 
 def off_by_one_cell(supply, distances, demand, p=1):

@@ -317,6 +317,13 @@ def test_identity_map_asymptotic_fails_off_set():
     assert report.verdict == UNSTABLE
 
 
+def test_attractor_on_an_empty_neighborhood_raises():
+    system = scenario_sink_source(3).system
+    for n_max in (0, 1):
+        with pytest.raises(EmptySet):
+            probe_attractor(system, {0}, 0.0, n_max)
+
+
 def test_attractor_identity_full_space():
     space = build_space(["a", "b"], "euclidean", coords=[[0.0], [1.0]])
     system = MapSystem.build(space, [0, 1])

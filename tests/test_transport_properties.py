@@ -112,7 +112,7 @@ def test_w_infinity_search_starts_at_a_lower_bound(rule, data):
     assert bound <= report.value
     if bound == report.value:
         assert report.feasibility_calls == 1
-    value, pairs, flows = _flow_at_threshold(net, report.value)
+    value, pairs, flows, _ = _flow_at_threshold(net, report.value)
     assert value == net.total
     assert report.plan.entries == _eager_entries(mu, nu, net, pairs, flows[len(net.sources):])
 
@@ -133,7 +133,7 @@ def test_plans_read_late_equal_the_plans_built_at_once_from_the_same_flows(rule,
     net = _Bipartite(mu, nu)
     report = w_infinity(mu, nu)
     assert "plan" not in vars(report)
-    _, pairs, flows = _flow_at_threshold(net, report.value)
+    _, pairs, flows, _ = _flow_at_threshold(net, report.value)
     assert report.plan.entries == _eager_entries(mu, nu, net, pairs, flows[len(net.sources):])
     distances = [d for row in net.table for d in row]
     for p in (1, 2):
@@ -174,20 +174,36 @@ def crowded_pairs(draw, rule: str):
 @given(data=st.data())
 def test_w_infinity_chase_steps_by_hall_violations(rule, data):
     mu, nu = data.draw(crowded_pairs(rule))
-    steps = []
-    step = transport._next_threshold
+    steps, probes = [], []
+    step, solve = transport._next_threshold, transport.max_flow
 
     def record(net, t, violator):
         nxt = step(net, t, violator)
         steps.append((net, t, violator, nxt))
         return nxt
 
-    with mock.patch.object(transport, "_next_threshold", record):
+    def flow(n_nodes, edges, source, sink):
+        result = solve(n_nodes, edges, source, sink)
+        probes.append((edges, *result))
+        return result
+
+    with mock.patch.object(transport, "_next_threshold", record), \
+            mock.patch.object(transport, "max_flow", flow):
         report = w_infinity(mu, nu)
     value = w_infinity_bruteforce(mu, nu)
     target(float(report.feasibility_calls))  # steer the draws toward longer chases
     assert report.value == value
-    assert len(steps) == report.feasibility_calls - 1
+    assert len(steps) == len(probes) - 1 == report.feasibility_calls - 1
+    n = len(mu.weights)
+    for (edges, _, _, reached), (_, _, violator, _) in zip(probes, steps):
+        # Read from the network alone: the rows the failed max flow reached
+        # supply more than the columns paired with them demand.
+        rows = [i for i in range(n) if reached[1 + i]]
+        cols = {v for u, v, _ in edges[n:] if u - 1 in rows}
+        supply = sum(cap for _, v, cap in edges[:n] if v - 1 in rows)
+        demand = sum(cap for u, _, cap in edges if u in cols)
+        assert supply > demand
+        assert rows == violator
     for net, t, violator, nxt in steps:
         # The failed probe's min cut S violates Hall's condition in integers
         # at t: mu(S) > nu(N_t(S)).  The next threshold is a lower bound above t.
