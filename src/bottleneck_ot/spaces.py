@@ -16,7 +16,8 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter, le, lt
 from typing import Iterable, Sequence
 
 from .errors import EmptySet, MetricViolation, UnknownAtom
@@ -164,10 +165,11 @@ class FiniteMetricSpace:
     def neighborhood(self, atoms: Iterable[int], eps: float, closed: bool = False) -> frozenset:
         """Points within distance eps of the set (strict by default, per the open
         epsilon-neighborhood convention)."""
-        to_set = self.distances_to(atoms)
-        if closed:
-            return frozenset(x for x, d in enumerate(to_set) if d <= eps)
-        return frozenset(x for x, d in enumerate(to_set) if d < eps)
+        atoms = list(atoms)
+        # One atom's memoised row is read as it is; ``le``/``lt`` compare as
+        # ``<=``/``<`` do, exactly for int and Fraction radii too.
+        to_set = self.row(atoms[0]) if len(atoms) == 1 else self.distances_to(atoms)
+        return frozenset(compress(range(self.n_points), map(le if closed else lt, to_set, repeat(eps))))
 
     def distance_csv(self) -> str:
         """Distance matrix as CSV with a label header row/column."""

@@ -10,6 +10,15 @@ Stability verdicts are resolution-qualified: probes are sampled at the tested
 perturbation sizes, witnesses are exact and replayable, and a "stable" verdict
 never claims more than the grids it was given.
 
+Each orbit figure is read once, exactly.  The lift probes read their records
+from one table of point orbits (a sampled probe's is the elementwise maximum
+of its atoms' columns); the exponential probe reads each Hausdorff distance
+from the vector of distances to A and the rows of A; the measure-level probe
+certifies an orbit step by the pushed coupling of the step before
+(``transport.certify``) and solves only where that fails; and the attractor
+reads its neighborhood per cycle of points, never walking whole periods of
+sets.
+
 ``cli stability`` reads a scenario through one protocol: ``system``,
 ``default_delta_grid``, ``default_horizon``, ``measure(name)`` and
 ``atom_set(token)`` (None for a name the scenario does not know), and
@@ -23,11 +32,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 
 from .errors import EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, SolverInvariantError
+from .flows import scale_masses
 from .measures import DiscreteMeasure, make_measure, point_mass, pushforward
-from .spaces import FiniteMetricSpace, build_space, hausdorff
-from .transport import w_infinity
+# The probes read Hausdorff distances through ``_hausdorff_to``; ``hausdorff``
+# is bound here for the benchmark's span recorder (perfbench/spans.py), which
+# times it under this name.
+from .spaces import FiniteMetricSpace, build_space, hausdorff  # noqa: F401
+from .transport import SolveReport, certify, w_infinity
 
 STABLE = "StableAtResolution"
 UNSTABLE = "UnstableWitness"
@@ -180,6 +194,23 @@ def _random_weights(rng: random.Random, n_atoms: int) -> list:
     return [Fraction(bounds[k + 1] - bounds[k], denominator) for k in range(n_atoms)]
 
 
+def _record(label: str, seed: int | None, weights: tuple, distances,
+            allowance: float | None = None) -> ProbeRecord:
+    """The record of a probe of frozen ``weights`` whose orbit is at
+    ``distances`` at steps 0..horizon."""
+    distances = tuple(distances)
+    sup = max(distances)
+    return ProbeRecord(
+        label=label,
+        seed=seed,
+        weights=weights,
+        distances=distances,
+        sup_distance=sup,
+        argmax_step=distances.index(sup),
+        allowance=allowance,
+    )
+
+
 def _orbit_record(step, start, horizon: int, distance_fn, label: str,
                   seed: int | None, weights: tuple,
                   allowance: float | None = None) -> ProbeRecord:
@@ -191,16 +222,7 @@ def _orbit_record(step, start, horizon: int, distance_fn, label: str,
         distances.append(distance_fn(current))
         if n < horizon:
             current = step(current)
-    sup = max(distances)
-    return ProbeRecord(
-        label=label,
-        seed=seed,
-        weights=weights,
-        distances=tuple(distances),
-        sup_distance=sup,
-        argmax_step=distances.index(sup),
-        allowance=allowance,
-    )
+    return _record(label, seed, weights, distances, allowance)
 
 
 def _child_seed(seed: int, d_idx: int, k: int) -> int:
@@ -213,24 +235,35 @@ def _lift_records(system: MapSystem, lift: LiftedSet, candidates, samples: int,
     """Records of lift probes: a point mass at each candidate, then ``samples``
     measures of one to three candidate atoms, each drawn from its own seed.
 
-    Each probe walks its support with ``image_of_set``: supp(f#mu) is
-    f(supp mu), because pushed weights stay positive, and the lift distance
-    reads only the support.
+    The candidates are walked once, one ``mapping`` gather per step, into a
+    table of their distances to the lift at steps 0..horizon; a point probe's
+    record is its candidate's column.  supp(f#mu) is f(supp mu), because
+    pushed weights stay positive, and the lift distance is a maximum over the
+    support, so a sampled probe's record is the elementwise maximum of its
+    atoms' columns.
     """
     if samples and not candidates:
         raise EmptySet("no point within the probe radius to sample from")
     pool = sorted(candidates)
-    probes = [(f"{prefix}point{x}", None, ((x, 1, 1),)) for x in pool]
+    to_lift = lift._to_set.__getitem__
+    step = system.mapping.__getitem__
+    table = []
+    orbit = pool
+    for n in range(horizon + 1):
+        table.append(list(map(to_lift, orbit)))
+        if n < horizon:
+            orbit = list(map(step, orbit))
+    columns = dict(zip(pool, zip(*table)))
+    for x in pool:
+        yield _record(f"{prefix}point{x}", None, ((x, 1, 1),), columns[x])
     for k in range(samples):
         child_seed = _child_seed(seed, d_idx, k)
         rng = random.Random(child_seed)
         size = rng.randint(1, min(3, len(pool)))
         atoms = rng.sample(pool, size)
         mu = make_measure(system.space, list(zip(atoms, _random_weights(rng, size))))
-        probes.append((f"{prefix}sample{k}", child_seed, _freeze_weights(mu)))
-    for label, child_seed, weights in probes:
-        yield _orbit_record(system.image_of_set, frozenset(a for a, _, _ in weights), horizon,
-                            lift.support_distance, label, child_seed, weights)
+        yield _record(f"{prefix}sample{k}", child_seed, _freeze_weights(mu),
+                      map(max, *(columns[a] for a in atoms)) if size > 1 else columns[atoms[0]])
 
 
 def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
@@ -299,12 +332,16 @@ def _random_neighbor(rng: random.Random, space, a: int, delta) -> int:
     return rng.choice(targets)
 
 
-def _support_translation_probe(rng: random.Random, space, mu, delta) -> DiscreteMeasure:
-    pairs = [(_random_neighbor(rng, space, a, delta), w) for a, w in sorted(mu.weights.items())]
-    return make_measure(space, pairs)
+def _support_translation_probe(rng: random.Random, space, mu, delta):
+    """mu with each atom moved to a random point within delta: (probe, the
+    coupling of that move, as (probe atom, mu atom, mass) cells)."""
+    moves = [(_random_neighbor(rng, space, a, delta), a, w) for a, w in sorted(mu.weights.items())]
+    return make_measure(space, [(z, w) for z, _, w in moves]), moves
 
 
-def _weight_leak_probe(rng: random.Random, space, mu, delta) -> DiscreteMeasure:
+def _weight_leak_probe(rng: random.Random, space, mu, delta):
+    """mu with a share of one atom's mass moved to a random point within
+    delta: (probe, the coupling of that move, as in the translation probe)."""
     atoms = sorted(mu.weights)
     a = rng.choice(atoms)
     z = _random_neighbor(rng, space, a, delta)
@@ -312,8 +349,29 @@ def _weight_leak_probe(rng: random.Random, space, mu, delta) -> DiscreteMeasure:
     moved = mu.weights[a] * share
     adjusted = dict(mu.weights)
     adjusted[a] = adjusted[a] - moved
+    coupling = [(x, x, w) for x, w in adjusted.items()] + [(z, a, moved)]
     adjusted[z] = adjusted.get(z, Fraction(0)) + moved
-    return make_measure(space, adjusted.items())
+    return make_measure(space, adjusted.items()), coupling
+
+
+def _in_units(coupling) -> tuple:
+    """(denom, cells): (a, b, mass) cells as whole units of 1/denom, the
+    common denominator of the masses, one cell per pair."""
+    denom, (units,) = scale_masses([mass for _, _, mass in coupling])
+    cells: dict = {}
+    for (a, b, _), u in zip(coupling, units):
+        cells[a, b] = cells.get((a, b), 0) + u
+    return denom, tuple((a, b, u) for (a, b), u in cells.items())
+
+
+def _pushed_cells(mapping, cells) -> tuple:
+    """The cells of a coupling pushed by (f x f): the coupling of the two
+    pushed measures, one cell per pair."""
+    pushed: dict = {}
+    for a, b, u in cells:
+        key = (mapping[a], mapping[b])
+        pushed[key] = pushed.get(key, 0) + u
+    return tuple((a, b, u) for (a, b), u in pushed.items())
 
 
 def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
@@ -327,6 +385,12 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
     their bottleneck distance — e.g. a tiny mass leaked onto a fixed point far
     away, which is weak*-small yet permanently displaced; orbits exceeding the
     per-delta allowance are reported as exact witnesses.
+
+    Each orbit step is exact, and most need no solve.  A coupling of nu and
+    mu pushed by (f x f) couples f#nu with f#mu = mu, so the last step's
+    optimal cells, pushed, are offered to ``certify``; ``w_infinity`` runs
+    only where it cannot prove them optimal.  A sampled probe offers the
+    coupling it was built from the same way, for its delta-ball check.
     """
     if not system.is_fixed_measure(mu):
         raise NotInvariantMeasure("the probed measure must be a pushforward fixed point")
@@ -334,32 +398,36 @@ def probe_measure_lyapunov(system: MapSystem, mu: DiscreteMeasure, delta_grid,
     gap = space.min_positive_gap()
     deltas = sorted(delta_grid)
 
-    def to_mu(m):
-        return w_infinity(m, mu).value
+    def solved(m, denom, cells) -> SolveReport:
+        report = certify(m, mu, denom, cells)
+        return report if report is not None else w_infinity(m, mu)
+
+    def step(report: SolveReport) -> SolveReport:
+        return solved(system.push(report.mu), report.denom,
+                      _pushed_cells(system.mapping, report.cells))
 
     def probes():
-        """(probe, label, seed, allowance, distance); a sample is drawn just
-        before its orbit, and its delta-ball check is its orbit's step 0."""
+        """(probe, label, seed, allowance, its step-0 report); a sample is
+        drawn just before its orbit, and its delta-ball check is its orbit's
+        step 0."""
         for d_idx, delta in enumerate(deltas):
             for k in range(probes_per_cell):
                 child_seed = _child_seed(seed, d_idx, k)
                 maker = _support_translation_probe if k % 2 == 0 else _weight_leak_probe
-                probe = maker(random.Random(child_seed), space, mu, delta)
-                checked = to_mu(probe)
-                if not checked <= delta + 1e-12:
+                probe, coupling = maker(random.Random(child_seed), space, mu, delta)
+                report = solved(probe, *_in_units(coupling))
+                if not report.value <= delta + 1e-12:
                     raise SolverInvariantError("sampled probe escaped its delta ball")
                 label = f"delta{delta:.6g}/{maker.__name__.strip('_')}{k}"
-                yield (probe, label, child_seed, 2.0 * (delta + gap),
-                       lambda m, probe=probe, checked=checked:
-                       checked if m is probe else to_mu(m))
+                yield probe, label, child_seed, 2.0 * (delta + gap), report
         extra_allowance = 2.0 * ((deltas[-1] if deltas else gap) + gap)
         for label, probe in extra_probes:
-            yield probe, f"extra/{label}", None, extra_allowance, to_mu
+            yield probe, f"extra/{label}", None, extra_allowance, w_infinity(probe, mu)
 
     records = [
-        _orbit_record(system.push, probe, horizon, distance, label, child_seed,
+        _orbit_record(step, report, horizon, attrgetter("value"), label, child_seed,
                       _freeze_weights(probe), allowance)
-        for probe, label, child_seed, allowance, distance in probes()
+        for probe, label, child_seed, allowance, report in probes()
     ]
     witness = next((record for record in records if record.exceeded()), None)
     return StabilityReport(
@@ -398,6 +466,54 @@ def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
     )
 
 
+def _orbit_shapes(mapping, starts) -> tuple:
+    """(tail, period): for every point x reached from ``starts``, tail[x] is
+    the number of steps it takes to reach a cycle of the map, and period[x]
+    the length of that cycle.  Each point is walked once."""
+    tail: dict = {}
+    period: dict = {}
+    for x in starts:
+        path, at = [], {}
+        while x not in tail and x not in at:
+            at[x] = len(path)
+            path.append(x)
+            x = mapping[x]
+        if x in at:  # the walk closed a cycle, from path[at[x]] on
+            cycle = path[at[x]:]
+            del path[at[x]:]
+            for y in cycle:
+                tail[y], period[y] = 0, len(cycle)
+        for y in reversed(path):
+            tail[y], period[y] = tail[x] + 1, period[x]
+            x = y
+    return tail, period
+
+
+def _whole_cycles(mapping, points) -> frozenset:
+    """The points of ``points``, all on cycles of the map, whose whole cycle
+    is in ``points``."""
+    kept = set(points)
+    for y in points:
+        if y in kept and mapping[y] not in points:  # y's cycle leaves the set
+            x = y
+            while True:
+                kept.discard(x)
+                x = mapping[x]
+                if x == y:
+                    break
+    return frozenset(kept)
+
+
+def _advance(mapping, x: int, n: int, tail: int, period: int) -> int:
+    """f^n(x) for a point ``tail`` steps from a cycle of length ``period``:
+    whole turns of the cycle are skipped."""
+    if n > tail:
+        n = tail + (n - tail) % period
+    for _ in range(n):
+        x = mapping[x]
+    return x
+
+
 def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityReport:
     """Exact attractor check: the neighborhood must re-enter itself and its
     forward intersection must come back to exactly A."""
@@ -406,34 +522,36 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
     U = space.neighborhood(A, eps)
     if not U:
         raise EmptySet(f"no point within eps={eps!r} of the set")
-    # The forward images of U are eventually periodic: walk them once, to the
-    # first repeat.  images[i] is f^(i+1)(U), and they cycle from index start.
-    seen: dict[frozenset, int] = {}
-    images = []
-    current = U
-    while True:
-        current = system.image_of_set(current)
-        if current in seen:
+    mapping = system.mapping
+    tail, period = _orbit_shapes(mapping, U)
+    # Every point of U is on its cycle after T steps.  The forward
+    # intersection is that of f^1(U)..f^T(U), kept to the cycles that f^T(U)
+    # holds whole: on a cycle it holds only in part, the images turn, and
+    # each of its points drops out of one of them.
+    T = max(1, max(tail[x] for x in U))
+    image = intersection = system.image_of_set(U)
+    for _ in range(T - 1):
+        image = system.image_of_set(image)
+        intersection &= image
+    intersection &= _whole_cycles(mapping, image)
+    # From step T on the images repeat every P steps, so the first re-entry,
+    # if there is one, comes by step T + P.
+    P = math.lcm(*(period[x] for x in U))
+    reentry = None
+    image = U
+    for n in range(1, min(n_max, T + P) + 1):
+        image = system.image_of_set(image)
+        if image <= U:
+            reentry = n
             break
-        seen[current] = len(images)
-        images.append(current)
-    start = seen[current]
-    # Every image comes up in the walk, so the first re-entry does too.
-    reentry = next(
-        (n for n in range(1, min(n_max, len(images)) + 1) if images[n - 1] <= U), None
-    )
-    intersection = frozenset(range(space.n_points))
-    for img in images:
-        intersection &= img
     notes = [
         "measure-level verdict transfers through the lift identities "
         "(pushforward of a lift is the lift of the image)",
     ]
     if reentry is None:
-        i = n_max - 1
-        if i >= len(images):  # past the walk: step back by whole periods
-            i = start + (i - start) % (len(images) - start)
-        point = min((images[i] if n_max else U) - U, default=min(U))
+        # f^n_max(U), point by point: down the tail, then around the cycle.
+        far = {_advance(mapping, x, n_max, tail[x], period[x]) for x in U}
+        point = min(far - U, default=min(U))
         prefix = "escape/"
         notes.append(f"no n <= {n_max} with f^n(U) inside U")
     elif intersection != A:
@@ -475,12 +593,32 @@ def _log_linear_fit(points):
     return slope, intercept, r2
 
 
+def _hausdorff_to(space: FiniteMetricSpace, A):
+    """The function S -> d_H(A, S), equal to ``spaces.hausdorff(space, A, S)``
+    by ``float.hex`` (maxima and minima of the same entries are exact): the
+    larger of the farthest point of S from A, read from the one vector of
+    distances to A, and the farthest point of A from S, read from the rows
+    of A.  One gather of S's entries per vector."""
+    to_A = space.distances_to(A)
+    rows_A = [space.row(a) for a in A]
+
+    def to(S) -> float:
+        if len(S) == 1:  # itemgetter returns a bare value for one item
+            (x,) = S
+            return max(to_A[x], max(row[x] for row in rows_A))
+        gather = itemgetter(*S)
+        return max(max(gather(to_A)), max(min(gather(row)) for row in rows_A))
+
+    return to
+
+
 def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
                       horizon: int) -> StabilityReport:
     """Fit a decay rate to the Hausdorff distance of shrinking closed
     neighborhoods; stable when every tested neighborhood decays geometrically."""
     A = _invariant_target(system, A)
     space = system.space
+    hausdorff_to_A = _hausdorff_to(space, A)
     fits = {}
     witness = None
     records = []
@@ -490,7 +628,7 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
             continue
         U = space.neighborhood(A, delta, closed=True)
         record = _orbit_record(
-            system.image_of_set, U, horizon, lambda S: hausdorff(space, A, S),
+            system.image_of_set, U, horizon, hausdorff_to_A,
             f"delta{delta:.6g}/neighborhood", None, tuple((a, 1, len(U)) for a in sorted(U)),
         )
         h = record.distances
@@ -522,14 +660,15 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
     )
 
 
-def _parsed(name: str, parse):
-    """``parse()``, with the error of a malformed ``name`` reported as such."""
+def _parsed(name: str, number, text: str):
+    """``number(text)``, the number in the scenario name ``name``; a failure
+    is reported as a malformed name."""
     try:
-        return parse()
+        return number(text)
     except ZeroDivisionError:
         raise MalformedInput(f"zero denominator in {name!r}") from None
-    except ValueError as exc:  # not a number, or a mu_eps weight outside [0, 1]
-        raise MalformedInput(str(exc)) from exc
+    except ValueError:
+        raise MalformedInput(f"malformed scenario name {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -554,7 +693,11 @@ class SinkSourceScenario:
     def measure(self, name: str) -> DiscreteMeasure | None:
         """``sink``, ``source`` or ``mu_eps:<fraction>``."""
         if name.startswith("mu_eps:"):
-            return _parsed(name, lambda: self.mu_eps(Fraction(name[len("mu_eps:"):])))
+            eps = _parsed(name, Fraction, name[len("mu_eps:"):])
+            try:
+                return self.mu_eps(eps)
+            except ValueError as exc:  # a weight outside [0, 1]
+                raise MalformedInput(str(exc)) from exc
         return {"sink": self.delta_sink, "source": self.delta_source}.get(name)
 
     def atom_set(self, token: str) -> set | None:
@@ -635,7 +778,7 @@ class TorusShearScenario:
         for row_measure in (self.uniform_row, self.lopsided_row):
             family = row_measure.__name__
             if name.startswith(family):
-                return row_measure, _parsed(name, lambda: int(name[len(family):]))
+                return row_measure, _parsed(name, int, name[len(family):])
         return None, None
 
     def measure(self, name: str) -> DiscreteMeasure | None:
@@ -646,7 +789,7 @@ class TorusShearScenario:
         """``row<j>``."""
         if not token.startswith("row"):
             return None
-        return set(self.row_atoms(_parsed(token, lambda: int(token[len("row"):]))))
+        return set(self.row_atoms(_parsed(token, int, token[len("row"):])))
 
     def extra_probes(self, measure_name: str | None) -> tuple:
         """The next row of the family of a named row measure."""

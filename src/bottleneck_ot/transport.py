@@ -13,6 +13,12 @@ that its last search reached hold more mass than nu holds within the
 threshold of them.  The least threshold at which nu covers that set is the
 next probe.  Most solves take one max flow.
 
+``certify`` reads the value off a coupling the caller already holds, with no
+flow: a coupling's longest cell bounds the value from above, and a single
+atom on that cell that the other measure cannot cover strictly within it
+bounds it from below.  The stability probes push an optimal plan along a map
+and certify the next step of the orbit this way.
+
 Every solver checks its own result in integers: the units it routes on each
 pair, in the common denominator of both measures, must be nonnegative and add
 up to every atom's scaled mass exactly, or it raises ``SolverInvariantError``.
@@ -234,6 +240,55 @@ def w_infinity(mu: DiscreteMeasure, nu: DiscreteMeasure) -> SolveReport:
         value, pairs, flows, reached = _flow_at_threshold(net, t)
     cells = net.cells(pairs, flows[n:])
     return SolveReport(value=t, feasibility_calls=calls, mu=mu, nu=nu, denom=net.denom, cells=cells)
+
+
+def _units(mu: DiscreteMeasure, denom: int) -> dict:
+    """Each atom's mass in whole units of 1/``denom``."""
+    units = {}
+    for a, w in mu.weights.items():
+        units[a], rest = divmod(w.numerator * denom, w.denominator)
+        if rest:
+            raise SolverInvariantError(f"mass {w} at atom {a} is no whole number of 1/{denom}")
+    return units
+
+
+def certify(mu: DiscreteMeasure, nu: DiscreteMeasure, denom: int, cells) -> SolveReport | None:
+    """W-infinity read off a given coupling when single atoms prove it optimal;
+    None when they do not.
+
+    ``cells`` are (atom of mu, atom of nu, units of 1/``denom``) triples, such
+    as an optimal plan's cells pushed along a map.  They are checked in
+    integers as a solver's flow is: nonnegative units that route every atom's
+    mass times ``denom`` exactly, or ``SolverInvariantError``.  The coupling
+    moves nothing farther than U, the length of its longest cell, so the value
+    is at most U.  If an atom on a longest cell has less of the other measure
+    strictly within U than its own mass, Hall's condition fails for that atom
+    below U, so the value is U, a verbatim entry.  The report then carries
+    the coupling as its cells and ``feasibility_calls == 0``: no flow ran.
+    """
+    _require_comparable(mu, nu)
+    supply, demand = _units(mu, denom), _units(nu, denom)
+    rows, cols = dict.fromkeys(supply, 0), dict.fromkeys(demand, 0)
+    out = []
+    for a, b, u in cells:
+        if u:
+            if u < 0 or a not in rows or b not in cols:
+                raise SolverInvariantError(f"{u} units on pair {(a, b)} do not couple the measures")
+            rows[a] += u
+            cols[b] += u
+            out.append((a, b, u))
+    if rows != supply or cols != demand:
+        raise SolverInvariantError("coupling marginals do not match the scaled masses")
+    row = mu.space.row
+    lengths = [row(a)[b] for a, b, _ in out]
+    longest = max(lengths)
+    for (a, b, _), d in zip(out, lengths):
+        if d == longest and (
+                sum(u for y, u in demand.items() if row(a)[y] < longest) < supply[a]
+                or sum(u for x, u in supply.items() if row(x)[b] < longest) < demand[b]):
+            return SolveReport(value=longest, feasibility_calls=0, mu=mu, nu=nu,
+                               denom=denom, cells=tuple(out))
+    return None
 
 
 def w_infinity_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

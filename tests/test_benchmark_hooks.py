@@ -8,7 +8,8 @@ must reach the recorder.
 The benchmark's output checks (perfbench/checks.py) read the solvers' results
 through their public shape (``dataclasses.replace`` on a ``SolveReport``, its
 ``plan.entries``), so a real result must pass them and every corruption of it
-must fail."""
+must fail.  The same holds for the ``torus`` check, which reads the stability
+probes' JSON reports."""
 from __future__ import annotations
 
 import importlib.util
@@ -52,6 +53,25 @@ def test_solve_check_passes_real_results_and_rejects_every_corruption(tmp_path):
         assert len(corrupted) == 3
         for what, bad in corrupted:
             assert checks.check_solve(tmp_path, manifest, state, job, bad), what
+
+
+def test_torus_check_passes_real_outputs_and_rejects_every_corruption(tmp_path):
+    inputs, workloads, checks = _load("inputs"), _load("workloads"), _load("checks")
+    manifest = inputs.generate("torus", 1, tmp_path)
+    workload = workloads.WORKLOADS["torus"](tmp_path, manifest)
+    state = workload.setup()
+    jobs = {}
+    for job in manifest["jobs"]:
+        jobs.setdefault(job["kind"], job)
+    assert {job["notion"] for job in jobs.values()} == {
+        "lyapunov", "measure-lyapunov", "asymptotic", "exponential", "attractor"}
+    for job in jobs.values():
+        output = workload.run(state, job)
+        assert checks.check_torus(tmp_path, manifest, state, job, output) == [], job["kind"]
+        corrupted = list(checks.corrupt_torus(tmp_path, manifest, state, job, output))
+        assert len(corrupted) == (1 if job["notion"] == "attractor" else 2)
+        for what, bad in corrupted:
+            assert checks.check_torus(tmp_path, manifest, state, job, bad), (job["kind"], what)
 
 
 def test_flow_calls_reach_the_span_recorder():

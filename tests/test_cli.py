@@ -476,8 +476,14 @@ def test_stability_exponential_cli(capsys):
      "--delta must be finite and > 0, got 0.0"),
     (["--scenario", "sink_source", "--d-xy=-1", "--notion", "attractor", "--set", "sink"],
      "--d-xy must be finite and > 0, got -1.0"),
+    (["--scenario", "torus", "--grid-n", "8", "--notion", "lyapunov", "--set", "row0,x0y1"],
+     "malformed scenario name 'row0,x0y1'"),
+    (["--scenario", "torus", "--grid-n", "8", "--notion", "measure-lyapunov",
+      "--measure", "uniform_rowx"],
+     "malformed scenario name 'uniform_rowx'"),
 ], ids=["mu_eps-zero-denominator", "negative-horizon", "zero-n-max", "zero-horizon-as-n-max",
-        "negative-probes", "negative-tol", "nan-eps", "zero-delta", "negative-d-xy"])
+        "negative-probes", "negative-tol", "nan-eps", "zero-delta", "negative-d-xy",
+        "malformed-set-name", "malformed-measure-name"])
 def test_stability_bad_arguments_exit_2_with_their_own_message(capsys, flags, message):
     assert main(["stability"] + flags) == 2
     captured = capsys.readouterr()

@@ -214,6 +214,19 @@ try:
     failures.append("a negative unit was accepted")
 except SolverInvariantError:
     pass
+# certify checks the coupling it is given in the same integers.  In units of
+# 1/4, mu = (1, 3) and nu = (2, 2); the optimal coupling moves one unit from y
+# to x, and y's three units cannot stay within distance 1 of nu's two at y.
+if transport.certify(mu, nu, 4, [(0, 0, 1), (1, 0, 1), (1, 1, 2)]).value != 1.0:
+    failures.append("certify refused an optimal coupling")
+for what, cells in (
+        ("one unit moved", [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]),
+        ("a negative unit", [(0, 0, 2), (0, 1, -1), (1, 1, 3)])):
+    try:
+        transport.certify(mu, nu, 4, cells)
+        failures.append(f"certify accepted cells with {what}")
+    except SolverInvariantError:
+        pass
 if failures:
     sys.exit("; ".join(failures))
 print("ok")

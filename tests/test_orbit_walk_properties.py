@@ -1,21 +1,26 @@
-"""Property tests: the lift probes walk supports, and the attractor walks the
-images of its neighborhood once.
+"""Property tests: the lift probes read their orbits from one table of point
+orbits, the attractor reads its neighborhood per cycle of points, and the
+measure-level probe certifies orbit steps by pushed couplings.
 
 Every lift-probe record (lyapunov, asymptotic, and the attractor's witness)
 must equal the record of the reference walk, which pushes the probe's measure
 step by step and applies ``LiftedSet.distance`` to each push.  Every attractor
 report must equal that of the two-loop algorithm kept below as the oracle:
 one loop finds the first n with f^n(U) inside U, a second walks U's images to
-their first repeat for the forward intersection.
+their first repeat for the forward intersection.  Every measure-level record
+must equal the solver's value at every step.
 
 The systems are sink/source lines, permutations and random non-injective
 maps; the target sets are forward closures, so they are invariant.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import build_space
 from bottleneck_ot.stability import (
     STABLE,
@@ -24,12 +29,15 @@ from bottleneck_ot.stability import (
     MapSystem,
     ProbeRecord,
     StabilityReport,
+    _pushed_cells,
     measure_from_frozen,
     probe_asymptotic,
     probe_attractor,
     probe_lyapunov,
+    probe_measure_lyapunov,
     scenario_sink_source,
 )
+from bottleneck_ot.transport import certify, w_infinity
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -165,3 +173,102 @@ def test_attractor_escape_point_past_the_walk_of_images():
         assert report == oracle_attractor(system, {0}, 1.5, n_max)
         assert report.witness.label == ("escape/point0" if n_max == 0 else
                                         f"escape/point{2 if n_max % 2 else 3}")
+
+
+def cycles_of(mapping) -> list:
+    """The cycles of a map, each as a sorted list of its points."""
+    cycles, seen = [], set()
+    for start in range(len(mapping)):
+        path = []
+        x = start
+        while x not in seen and x not in path:
+            path.append(x)
+            x = mapping[x]
+        if x in path:
+            cycles.append(sorted(path[path.index(x):]))
+        seen.update(path)
+    return cycles
+
+
+@st.composite
+def fixed_measures(draw):
+    """(system, mu): f#mu = mu, with each chosen cycle's mass spread evenly
+    along it."""
+    system = draw(systems())
+    cycles = cycles_of(system.mapping)
+    chosen = draw(st.lists(st.sampled_from(cycles), min_size=1, max_size=3, unique_by=tuple))
+    shares = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+    total = sum(shares)
+    mu = make_measure(system.space, [(x, Fraction(share, total * len(cycle)))
+                                     for cycle, share in zip(chosen, shares) for x in cycle])
+    assert system.is_fixed_measure(mu)
+    return system, mu
+
+
+@st.composite
+def measures_on(draw, space):
+    atoms = draw(st.lists(st.integers(0, space.n_points - 1), min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(1, 6), min_size=len(atoms), max_size=len(atoms)))
+    return make_measure(space, [(a, Fraction(r, sum(raw))) for a, r in zip(atoms, raw)])
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), horizon=st.integers(0, 6), seed=st.integers(0, 50))
+def test_measure_lyapunov_records_equal_the_solver_at_every_step(data, horizon, seed):
+    system, mu = data.draw(fixed_measures())
+    space = system.space
+    distances = sorted({space.d(i, j) for i in range(space.n_points)
+                        for j in range(space.n_points)} - {0.0})
+    deltas = data.draw(st.lists(st.sampled_from(distances or [1.0]), min_size=1, max_size=2))
+    extras = [(f"x{k}", data.draw(measures_on(space))) for k in range(2)]
+    report = probe_measure_lyapunov(system, mu, deltas, horizon, 2, seed, extras)
+    for record in report.records:
+        probe = measure_from_frozen(space, record.weights)
+        assert record.distances == tuple(
+            w_infinity(system.push(probe, n), mu).value for n in range(horizon + 1))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pushed_optimal_cells_certify_only_the_solver_value(data):
+    system, mu = data.draw(fixed_measures())
+    nu = data.draw(measures_on(system.space))
+    for _ in range(4):
+        report = w_infinity(nu, mu)
+        nu = system.push(nu)
+        certified = certify(nu, mu, report.denom, _pushed_cells(system.mapping, report.cells))
+        if certified is not None:
+            assert certified.feasibility_calls == 0
+            assert certified.value == w_infinity(nu, mu).value
+            # The pushed cells are an exact coupling: the plan checks its
+            # marginals in Fractions.
+            assert certified.plan.bottleneck() == certified.value
+
+
+def test_attractor_on_coprime_cycles_needs_no_walk_of_their_lcm():
+    # A fixed point 0 at the origin, then cycles of lengths 2, 3, 5, 7, 11, 13
+    # and 17 on consecutive indices.  Each cycle's first point lies within
+    # eps = 1.5 of the origin, every other point 10 or more away, so
+    # U = {0} plus the seven first points.  f^n(U) is inside U only when n is
+    # a multiple of every length, first at n = 510,510: no re-entry by
+    # n_max = 5.  f^5 moves the 2-cycle's first point, 1, to 2, and every
+    # other first point to an index above 2, so the escape witness is point
+    # 2, which alternates between 12 (itself) and 0.1 (point 1) from 0.
+    lengths = (2, 3, 5, 7, 11, 13, 17)
+    mapping, coords, firsts = [0], [[0.0]], []
+    for c, length in enumerate(lengths):
+        start = len(mapping)
+        firsts.append(start)
+        mapping += [start + (k + 1) % length for k in range(length)]
+        coords += [[0.1 * (c + 1)]] + [[10.0 + start + k] for k in range(1, length)]
+    assert len(mapping) == 59
+    space = build_space([f"p{i}" for i in range(59)], "euclidean", coords=coords)
+    system = MapSystem.build(space, mapping)
+    report = probe_attractor(system, {0}, 1.5, 5)
+    assert report.params["neighborhood"] == [0] + firsts
+    assert report.params["reentry"] is None
+    assert report.params["intersection"] == [0]
+    assert report.verdict == UNSTABLE
+    assert report.witness.label == "escape/point2"
+    assert report.witness.distances == (12.0, 0.1, 12.0, 0.1, 12.0, 0.1)
+    assert report.witness.sup_distance == 12.0 and report.witness.argmax_step == 0

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from bottleneck_ot.errors import EmptySet, MetricViolation
 from bottleneck_ot.fileio import parse_space, space_to_obj
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import _euclidean, _flat_torus, build_space, hausdorff, same_space
-from bottleneck_ot.stability import _torus_scenario_cached, scenario_torus_shear
+from bottleneck_ot.stability import _hausdorff_to, _torus_scenario_cached, scenario_torus_shear
 from bottleneck_ot.transport import w_infinity
 
 from conftest import random_space
@@ -227,6 +228,56 @@ def test_distances_to_is_the_minimum_over_the_set():
         assert space.neighborhood(atoms, to_set[0], closed=True) >= {0}
     with pytest.raises(EmptySet):
         space.distances_to([])
+
+
+def _test_spaces(seed):
+    """Coordinate spaces of both rules in dimensions 1-4, with uniform and
+    with repeated coordinate values (torus values outside [0, 1) included),
+    and two explicit matrices."""
+    rng = random.Random(seed)
+    out = []
+    for rule in ("euclidean", "flat-torus"):
+        for dim in (1, 2, 3, 4):
+            for trial in (0, 1):
+                coords = _random_coords(rng, rng.randint(1, 14), dim, trial)
+                out.append(build_space([f"p{i}" for i in range(len(coords))], rule,
+                                       coords=coords, validate=False))
+    out.append(build_space(["a", "b", "c", "d"], "explicit-matrix",
+                           matrix=[[0, 2, 3, 2], [2, 0, 4, 1], [3, 4, 0, 3], [2, 1, 3, 0]]))
+    out.append(build_space(["a", "b", "c"], "explicit-matrix",
+                           matrix=[[0, 0.1, 0.3], [0.1, 0, 0.2], [0.3, 0.2, 0]]))
+    return rng, out
+
+
+def test_neighborhood_equals_the_comprehension_over_distances_to():
+    rng, spaces = _test_spaces(13)
+    for space in spaces:
+        n = space.n_points
+        entries = sorted({space.d(i, j) for i in range(n) for j in range(n)})
+        radii = entries + [(a + b) / 2 for a, b in zip(entries, entries[1:])]
+        radii += [Fraction(r) for r in radii] + [0, 1, 2, Fraction(1, 3), Fraction(3, 2)]
+        for size in (1, 2, 3):
+            atoms = rng.sample(range(n), min(size, n))
+            to_set = space.distances_to(atoms)
+            for eps in radii:
+                assert space.neighborhood(atoms, eps) == frozenset(
+                    x for x, d in enumerate(to_set) if d < eps)
+                assert space.neighborhood(atoms, eps, closed=True) == frozenset(
+                    x for x, d in enumerate(to_set) if d <= eps)
+    with pytest.raises(EmptySet):
+        spaces[0].neighborhood([], 1.0)
+
+
+def test_hausdorff_from_one_vector_equals_spaces_hausdorff():
+    rng, spaces = _test_spaces(17)
+    for space in spaces:
+        n = space.n_points
+        for _ in range(6):
+            A = rng.sample(range(n), rng.randint(1, n))
+            to_A = _hausdorff_to(space, A)
+            for size in {1, 2, n}:
+                S = frozenset(rng.sample(range(n), min(size, n)))
+                assert to_A(S).hex() == hausdorff(space, A, S).hex()
 
 
 def test_same_space_truth_table():

@@ -23,7 +23,7 @@ from bottleneck_ot.stability import (
     scenario_sink_source,
     scenario_torus_shear,
 )
-from bottleneck_ot.transport import w_infinity
+from bottleneck_ot.transport import certify, w_infinity
 
 from conftest import random_probability_measure, random_space
 
@@ -456,27 +456,43 @@ def test_torus_lopsided_perturbation_explodes_at_half_turn():
 
 
 def test_measure_lyapunov_solves_each_sampled_probe_once(monkeypatch):
-    # The delta-ball check of a sampled probe is its orbit's step 0: one
-    # solve per orbit step, the extra probes included, and none more.
+    # Every orbit step offers a coupling to ``certify`` (the extra probes'
+    # step 0 excepted, which has none) and solves only where it is refused:
+    # at most one solve per step, so a sampled probe's delta-ball check is
+    # its orbit's step 0 and is never solved twice.  Every recorded distance
+    # is the solver's value.
     from bottleneck_ot import stability
 
     sc = scenario_torus_shear(8)
-    solved = []
+    mu = sc.uniform_row(0)
+    events = []
 
-    def counted(m, target):
-        solved.append(m)
+    def certified(m, target, denom, cells):
+        report = certify(m, target, denom, cells)
+        events.append(("certify", m, report is None))
+        return report
+
+    def solved(m, target):
+        events.append(("solve", m, None))
         return w_infinity(m, target)
 
-    monkeypatch.setattr(stability, "w_infinity", counted)
+    monkeypatch.setattr(stability, "certify", certified)
+    monkeypatch.setattr(stability, "w_infinity", solved)
     report = probe_measure_lyapunov(
-        sc.system, sc.uniform_row(0), list(sc.default_delta_grid), horizon=3,
+        sc.system, mu, list(sc.default_delta_grid), horizon=3,
         probes_per_cell=2, seed=0, extra_probes=[("uniform_row1", sc.uniform_row(1))],
     )
-    assert len(solved) == 4 * len(report.records)
     monkeypatch.undo()
+    unprompted = [k for k, (kind, m, _) in enumerate(events) if kind == "solve" and not (
+        k and events[k - 1][0] == "certify" and events[k - 1][2] and events[k - 1][1] == m)]
+    assert len(unprompted) == 1  # the extra probe's step 0
+    steps = sum(kind == "certify" for kind, _, _ in events) + len(unprompted)
+    assert steps == 4 * len(report.records)
+    assert any(kind == "certify" and not refused for kind, _, refused in events)
     for record in report.records:
         probe = measure_from_frozen(sc.system.space, record.weights)
-        assert record.distances[0] == w_infinity(probe, sc.uniform_row(0)).value
+        for n, distance in enumerate(record.distances):
+            assert distance == w_infinity(sc.system.push(probe, n), mu).value
 
 
 def test_torus_measure_lyapunov_uniform_stable_lopsided_excursion():

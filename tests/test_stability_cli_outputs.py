@@ -8,7 +8,9 @@ stdout must match, and stderr too where it was recorded (it is not where it
 named a temporary file).  A change that alters any of them has to regenerate
 the file on purpose.  It was last regenerated when the exponential note was
 rewritten (the per-step lifted recomputation of the Hausdorff distance was
-dropped); that string is the only difference from the earlier recording.
+dropped), and then when a scenario name whose number fails to parse came to
+be reported as ``malformed scenario name '<name>'`` in place of Python's
+``int()``/``Fraction`` message: six stderr strings, no stdout or exit code.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bottleneck_ot.errors import NotProbability, SpaceMismatch, TooLarge, UnsupportedP
+from bottleneck_ot.errors import NotProbability, SolverInvariantError, SpaceMismatch, TooLarge, UnsupportedP
 from bottleneck_ot.measures import make_measure, point_mass
 from bottleneck_ot.spaces import build_space, hausdorff
 from bottleneck_ot.transport import (
@@ -14,6 +14,7 @@ from bottleneck_ot.transport import (
     _Bipartite,
     _singleton_hall_bound,
     candidate_thresholds,
+    certify,
     feasible_at_threshold,
     w_infinity,
     w_infinity_bruteforce,
@@ -182,6 +183,27 @@ def test_w_infinity_searches_past_the_singleton_hall_bound():
     # at the value.  Bisection over the thresholds above the bound takes 3.
     assert report.feasibility_calls == 2
     assert report.plan.bottleneck() == 2.0
+
+
+def test_certify_reads_the_value_off_a_coupling_that_one_atom_forces():
+    # Points at 0, 1 and 3 on a line; mu = (1/2, 0, 1/2), nu = (0, 1/2, 1/2).
+    space = build_space(["a", "b", "c"], "euclidean", coords=[[0.0], [1.0], [3.0]])
+    half = Fraction(1, 2)
+    mu = make_measure(space, [(0, half), (2, half)])
+    nu = make_measure(space, [(1, half), (2, half)])
+    # a -> b and c -> c: the longest cell is 1, and nu holds nothing within 1
+    # of a, so a alone forces the value.
+    report = certify(mu, nu, 2, [(0, 1, 1), (2, 2, 1)])
+    assert (report.value, report.feasibility_calls) == (1.0, 0) == (w_infinity(mu, nu).value, 0)
+    assert report.plan.entries == ((0, 1, half), (2, 2, half))
+    # a -> c and c -> b moves 3: a coupling, but not an optimal one.
+    assert certify(mu, nu, 2, [(0, 2, 1), (2, 1, 1)]) is None
+    # Zero units are dropped; units off the support, or short of a marginal,
+    # or masses that are no whole number of units, raise.
+    assert certify(mu, nu, 2, [(0, 1, 1), (0, 2, 0), (2, 2, 1)]).cells == ((0, 1, 1), (2, 2, 1))
+    for denom, cells in ((2, [(0, 1, 1), (2, 0, 1)]), (2, [(0, 1, 1)]), (3, [(0, 1, 1), (2, 2, 1)])):
+        with pytest.raises(SolverInvariantError):
+            certify(mu, nu, denom, cells)
 
 
 def test_bruteforce_oracle_small_cases(line):
