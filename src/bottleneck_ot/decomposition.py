@@ -20,17 +20,29 @@ output satisfies the three conclusions without tolerance.  Termination is
 measured by the arrangement rho: the number of occupied intersection cells,
 at most 2^m - 1.
 
-Each step reads one table of exact integer subset slacks (index subsets as
+The steps read one table of exact integer subset slacks (index subsets as
 bitmasks), built by a subset-sum (zeta) transform over the occupied cells in
-O(m 2^m) additions.  The construction runs from an explicit worklist, so no
+O(m 2^m) additions.  One table serves a whole decomposition: a Case3 slice
+of eps units takes eps off exactly the subsets that meet the shaved cell and
+avoid its target, and a Case2 drop keeps the subsets without the dropped
+index, whose slacks do not change.  Both update the table in place, in the
+units 1/den it was built in, which stay valid because every mass, target and
+slice is a whole number of them.  Only the two parts of a Case1 split build
+tables of their own.  The construction runs from an explicit worklist, so no
 interpreter setting such as the recursion limit changes.
+
+Case3.2 (the slice stops at the target alone) never occurs in a run: when
+the cell has a set besides p, the union of the other sets is among the
+subsets that bound epsilon_0 and its slack is target p, so a slice that hits
+the target hits epsilon_0 too and is labeled Case3.1; when the cell is {p},
+that union's strict slack puts target p above the cell's mass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import add
 
 from .errors import CasePreconditionViolated, InfeasibleInstance, MalformedInput, SolverInvariantError, TooManySets
@@ -158,6 +170,11 @@ def _slack_table(weights, sets, targets):
 
 def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
     """Exhaustive subset-bound and total-mass check; the witness is the first failing subset."""
+    return _feasibility(instance)[0]
+
+
+def _feasibility(instance: DecompositionInstance):
+    """``check_feasibility``'s verdict and the slack table it read (None when it read none)."""
     m = instance.m
     if m > FEASIBILITY_CAP:
         raise TooManySets(f"feasibility check capped at m <= {FEASIBILITY_CAP}")
@@ -165,14 +182,15 @@ def check_feasibility(instance: DecompositionInstance) -> FeasibilityVerdict:
     if instance.xi.total_mass != total_targets:
         return FeasibilityVerdict(
             False, "total-mass", tuple(range(m)), instance.xi.total_mass, total_targets
-        )
-    den, _, slack = _slack_table(instance.xi.weights, instance.sets, instance.targets)
+        ), None
+    table = _slack_table(instance.xi.weights, instance.sets, instance.targets)
+    den, _, slack = table
     if min(slack) >= 0:
-        return FeasibilityVerdict(True)
+        return FeasibilityVerdict(True), table
     mask = next(mask for mask in _masks_in_order(m) if slack[mask] < 0)
     subset = _indices(mask)
     rhs = sum((instance.targets[i] for i in subset), start=ZERO)
-    return FeasibilityVerdict(False, "subset-bound", subset, rhs + Fraction(slack[mask], den), rhs)
+    return FeasibilityVerdict(False, "subset-bound", subset, rhs + Fraction(slack[mask], den), rhs), table
 
 
 def feasibility_by_flow(instance: DecompositionInstance) -> bool:
@@ -211,14 +229,24 @@ def arrangement(instance: DecompositionInstance):
     return rho, tuple(per_k[1:])
 
 
-def _epsilon_zero(slack, psi: int, p: int):
-    """Least slack over the subsets that meet the cell psi but avoid p, or None.
+def _shaved_masks(m: int, psi: int, p: int) -> list:
+    """Masks of the index subsets that meet the cell psi but avoid p.
 
     These are the only subsets whose bound loses slack when mass leaves psi
-    and target p drops by the same amount; all of them are proper.
+    and target p drops by the same amount; all of them are proper.  They are
+    built bit by bit beside the masks that avoid psi altogether.
     """
-    bit = 1 << p
-    return min((s for mask, s in enumerate(slack) if mask & psi and not mask & bit), default=None)
+    meet, avoid = [], [0]
+    for i in range(m):
+        if i == p:
+            continue
+        bit = 1 << i
+        if psi & bit:
+            meet += [s | bit for s in meet] + [s | bit for s in avoid]
+        else:
+            meet += [s | bit for s in meet]
+            avoid += [s | bit for s in avoid]
+    return meet
 
 
 def epsilon_zero(instance: DecompositionInstance, psi, p: int):
@@ -239,7 +267,8 @@ def epsilon_zero(instance: DecompositionInstance, psi, p: int):
             raise CasePreconditionViolated(
                 f"Case 3 needs strict inequalities; subset {_indices(mask)} is tight"
             )
-    eps = _epsilon_zero(slack, sum(1 << i for i in psi), p)
+    masks = _shaved_masks(instance.m, sum(1 << i for i in psi), p)
+    eps = min(map(slack.__getitem__, masks), default=None)
     return None if eps is None else Fraction(eps, den)
 
 
@@ -248,26 +277,31 @@ def decompose(instance: DecompositionInstance, *,
     """Run the inductive construction; exact arithmetic end to end.
 
     ``verdict`` is ``check_feasibility(instance)`` when the caller has
-    already computed it; without it the check runs here.
+    already computed it; without it the check runs here, and the first step
+    reads the check's slack table.
 
-    A task (weights, original indices of its sets, targets, depth) waits on a
-    stack; last in, first out keeps the trace in the pre-order of the case
-    tree.  Base and Case3 add their masses into the component of the original
-    set index, so Case1 and Case2 need no merge.
+    A task (weights, original indices of its sets, targets, depth, table)
+    waits on a stack; last in, first out keeps the trace in the pre-order of
+    the case tree.  Base and Case3 add their masses into the component of the
+    original set index, so Case1 and Case2 need no merge.  The table is the
+    task's ``_slack_table`` or None until a step reads it; Case2 and Case3
+    update it in place for the one task they leave, in the units 1/den it
+    was built in, and the two parts of a Case1 split start without one.
     """
     if instance.m > DECOMPOSE_CAP:
         raise TooManySets(f"decompose capped at m <= {DECOMPOSE_CAP}")
+    table = None
     if verdict is None:
-        verdict = check_feasibility(instance)
+        verdict, table = _feasibility(instance)
     if not verdict.feasible:
         raise InfeasibleInstance(verdict)
     sets = instance.sets
     parts: list = [{} for _ in sets]
     trace: list = []
     max_depth = 0
-    stack = [(dict(instance.xi.weights), tuple(range(instance.m)), instance.targets, 0)]
+    stack = [(dict(instance.xi.weights), tuple(range(instance.m)), instance.targets, 0, table)]
     while stack:
-        weights, idx, targets, depth = stack.pop()
+        weights, idx, targets, depth, table = stack.pop()
         max_depth = max(max_depth, depth)
         m = len(idx)
 
@@ -278,19 +312,25 @@ def decompose(instance: DecompositionInstance, *,
                 part[a] = part.get(a, ZERO) + w
             continue
 
-        # Case 2: a zero target keeps an empty component.
+        # Case 2: a zero target keeps an empty component.  Its set leaves
+        # covered and inside[~S] alike, so each subset S without bit k keeps
+        # its slack; cells c and c | 2^k merge.
         if 0 in targets:
             k = targets.index(0)
             trace.append(("Case2", depth))
-            stack.append((weights, idx[:k] + idx[k + 1:], targets[:k] + targets[k + 1:], depth + 1))
+            if table is not None:
+                table = _drop_index(table, k)
+            stack.append((weights, idx[:k] + idx[k + 1:], targets[:k] + targets[k + 1:], depth + 1, table))
             continue
 
-        den, cells, slack = _slack_table(weights, [sets[j] for j in idx], targets)
+        if table is None:
+            table = _slack_table(weights, [sets[j] for j in idx], targets)
+        den, cells, slack = table
 
         # Case 1: the first tight proper subset splits the instance in two.
         # Atoms of the inside part are gone from the outside part, so its
         # sets keep their original atoms without changing any cell.
-        if 0 in slack[1:-1]:
+        if 0 in islice(slack, 1, len(slack) - 1):
             tight = next(mask for mask in _masks_in_order(m) if slack[mask] == 0)
             trace.append(("Case1", depth))
             members = _indices(tight)
@@ -300,17 +340,19 @@ def decompose(instance: DecompositionInstance, *,
             for a, w in weights.items():
                 (w_in if a in inside else w_out)[a] = w
             for keep, w in ((rest, w_out), (members, w_in)):  # the inside part runs first
-                stack.append((w, tuple(idx[i] for i in keep), tuple(targets[i] for i in keep), depth + 1))
+                stack.append((w, tuple(idx[i] for i in keep), tuple(targets[i] for i in keep), depth + 1, None))
             continue
 
         # Case 3: strict slack everywhere and positive targets; shave an
         # epsilon-slice off the lexicographically smallest occupied cell.
+        # Exactly the subsets that meet psi and avoid p lose eps of slack.
         if not cells:
             raise SolverInvariantError("positive targets with matching total mass force an occupied cell")
         psi = min(cells)
         cell_mass, cell_atoms = cells[psi]
         p = (psi & -psi).bit_length() - 1
-        eps_zero = _epsilon_zero(slack, psi, p)
+        shaved = _shaved_masks(m, psi, p)
+        eps_zero = min(map(slack.__getitem__, shaved), default=None)
         target = targets[p].numerator * (den // targets[p].denominator)
         eps = min(e for e in (eps_zero, target, cell_mass) if e is not None)
         if eps <= 0:
@@ -323,20 +365,65 @@ def decompose(instance: DecompositionInstance, *,
             label = "Case3.3"
         trace.append((label, depth))
 
+        _shave(table, shaved, psi, eps)
         share = Fraction(eps, cell_mass)
         part = parts[idx[p]]
-        reduced = dict(weights)
         for a in cell_atoms:
             piece = weights[a] * share
             part[a] = part.get(a, ZERO) + piece
             if weights[a] > piece:
-                reduced[a] = weights[a] - piece
+                weights[a] -= piece
             else:
-                del reduced[a]
+                del weights[a]
         reduced_targets = targets[:p] + (targets[p] - Fraction(eps, den),) + targets[p + 1:]
-        stack.append((reduced, idx, reduced_targets, depth + 1))
+        stack.append((weights, idx, reduced_targets, depth + 1, table))
     components = tuple(make_measure(instance.xi.space, part.items()) for part in parts)
     return DecompositionResult(components, tuple(trace), max_depth)
+
+
+def _shave(table, shaved, psi: int, eps: int) -> None:
+    """Take eps units off cell psi, and off the slack of the masks in shaved.
+
+    With ``shaved = _shaved_masks(m, psi, p)`` this is, in place, the table
+    of the task after eps units leave psi and target p.  A cell left empty
+    leaves the table.
+    """
+    _, cells, slack = table
+    for mask in shaved:
+        slack[mask] -= eps
+    mass, atoms = cells[psi]
+    if eps < mass:
+        cells[psi] = (mass - eps, atoms)
+    else:
+        del cells[psi]
+
+
+def _drop_index(table, k: int):
+    """The table of the same task without set k, whose target is zero.
+
+    The slack list keeps, in place, the masks without bit k, moved down by
+    block slices; a cell that was only in set k leaves the table.
+    """
+    den, cells, slack = table
+    low, width = 1 << k, 2 << k
+    n = len(slack)
+    half = n >> 1
+    if low * width <= n:  # fewer offsets than blocks: one strided slice per offset
+        for j in range(low):
+            slack[j:half:low] = slack[j::width]
+    else:
+        for j in range(0, half, low):
+            slack[j:j + low] = slack[2 * j:2 * j + low]
+    del slack[half:]
+    merged = {}
+    for mask, (mass, atoms) in cells.items():
+        mask = mask & low - 1 | mask >> 1 & -low
+        if mask in merged:
+            other_mass, other_atoms = merged[mask]
+            merged[mask] = (other_mass + mass, other_atoms + atoms)
+        elif mask:
+            merged[mask] = (mass, atoms)
+    return den, merged, slack
 
 
 def verify_decomposition(instance: DecompositionInstance, result: DecompositionResult) -> VerificationVerdict:

@@ -10,14 +10,15 @@ Stability verdicts are resolution-qualified: probes are sampled at the tested
 perturbation sizes, witnesses are exact and replayable, and a "stable" verdict
 never claims more than the grids it was given.
 
-Each orbit figure is read once, exactly.  The lift probes read their records
-from one table of point orbits (a sampled probe's is the elementwise maximum
-of its atoms' columns); the exponential probe reads each Hausdorff distance
-from the vector of distances to A and the rows of A; the measure-level probe
-certifies an orbit step by the pushed coupling of the step before
-(``transport.certify``) and solves only where that fails; and the attractor
-reads its neighborhood per cycle of points, never walking whole periods of
-sets.
+Each orbit figure is read once, exactly.  The set probes compute the vector
+of distances to A once, in their ``LiftedSet``, and read every neighborhood
+of A from it.  The lift probes read their records from one table of point
+orbits (a sampled probe's is the elementwise maximum of its atoms' columns);
+the exponential probe reads each Hausdorff distance from the same vector and
+the rows of A; the measure-level probe certifies an orbit step by the pushed
+coupling of the step before (``transport.certify``) and solves only where
+that fails; and the attractor reads its neighborhood per cycle of points,
+never walking whole periods of sets.
 
 ``cli stability`` reads a scenario through one protocol: ``system``,
 ``default_delta_grid``, ``default_horizon``, ``measure(name)`` and
@@ -32,7 +33,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter, le, lt
 
 from .errors import EmptySet, MalformedInput, NotInvariant, NotInvariantMeasure, SolverInvariantError
 from .flows import scale_masses
@@ -129,6 +131,12 @@ class LiftedSet:
         spread.  Checked against the solver in the test suite.
         """
         return max(map(self._to_set.__getitem__, atoms))
+
+    def neighborhood(self, r, closed: bool = False) -> frozenset:
+        """``space.neighborhood(atoms, r, closed)``, read from the distances
+        the lift already holds with the same comparisons."""
+        to_set = self._to_set
+        return frozenset(compress(range(len(to_set)), map(le if closed else lt, to_set, repeat(r))))
 
 
 def dist_to_lift(mu: DiscreteMeasure, atoms) -> float:
@@ -276,7 +284,7 @@ def probe_lyapunov(system: MapSystem, A, eps_grid, delta_grid, horizon: int,
     records = []
     cell_worst: dict[float, ProbeRecord] = {}
     for d_idx, delta in enumerate(sorted(delta_grid)):
-        for record in _lift_records(system, lift, space.neighborhood(A, delta, closed=True),
+        for record in _lift_records(system, lift, lift.neighborhood(delta, closed=True),
                                     probes_per_cell, seed, horizon, d_idx, f"delta{delta:.6g}/"):
             records.append(record)
             worst = cell_worst.get(delta)
@@ -452,8 +460,8 @@ def probe_asymptotic(system: MapSystem, A, eps: float, horizon: int,
                      probes: int, seed: int = 0, tol: float = 0.0) -> StabilityReport:
     """Do all orbits started in the eps-lift-neighborhood fall back into the lift?"""
     A = _invariant_target(system, A)
-    records = tuple(_lift_records(system, LiftedSet(system.space, A),
-                                  system.space.neighborhood(A, eps, closed=True),
+    lift = LiftedSet(system.space, A)
+    records = tuple(_lift_records(system, lift, lift.neighborhood(eps, closed=True),
                                   probes, seed, horizon))
     witness = next((record for record in records if min(record.distances) > tol), None)
     return StabilityReport(
@@ -518,8 +526,8 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
     """Exact attractor check: the neighborhood must re-enter itself and its
     forward intersection must come back to exactly A."""
     A = _invariant_target(system, A)
-    space = system.space
-    U = space.neighborhood(A, eps)
+    lift = LiftedSet(system.space, A)
+    U = lift.neighborhood(eps)
     if not U:
         raise EmptySet(f"no point within eps={eps!r} of the set")
     mapping = system.mapping
@@ -562,7 +570,7 @@ def probe_attractor(system: MapSystem, A, eps: float, n_max: int) -> StabilityRe
         prefix = None
         notes.append(f"f^{reentry}(U) inside U; forward intersection equals the set")
     witness = None if prefix is None else next(
-        _lift_records(system, LiftedSet(space, A), [point], 0, None, n_max, prefix=prefix)
+        _lift_records(system, lift, [point], 0, None, n_max, prefix=prefix)
     )
     return StabilityReport(
         notion="attractor",
@@ -593,14 +601,15 @@ def _log_linear_fit(points):
     return slope, intercept, r2
 
 
-def _hausdorff_to(space: FiniteMetricSpace, A):
-    """The function S -> d_H(A, S), equal to ``spaces.hausdorff(space, A, S)``
-    by ``float.hex`` (maxima and minima of the same entries are exact): the
-    larger of the farthest point of S from A, read from the one vector of
-    distances to A, and the farthest point of A from S, read from the rows
-    of A.  One gather of S's entries per vector."""
-    to_A = space.distances_to(A)
-    rows_A = [space.row(a) for a in A]
+def _hausdorff_to(lift: LiftedSet):
+    """The function S -> d_H(A, S) for the base set A of ``lift``, equal to
+    ``spaces.hausdorff(space, A, S)`` by ``float.hex`` (maxima and minima of
+    the same entries are exact): the larger of the farthest point of S from
+    A, read from the lift's vector of distances to A, and the farthest point
+    of A from S, read from the rows of A.  One gather of S's entries per
+    vector."""
+    to_A = lift._to_set
+    rows_A = [lift.space.row(a) for a in lift.atoms]
 
     def to(S) -> float:
         if len(S) == 1:  # itemgetter returns a bare value for one item
@@ -617,8 +626,8 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
     """Fit a decay rate to the Hausdorff distance of shrinking closed
     neighborhoods; stable when every tested neighborhood decays geometrically."""
     A = _invariant_target(system, A)
-    space = system.space
-    hausdorff_to_A = _hausdorff_to(space, A)
+    lift = LiftedSet(system.space, A)
+    hausdorff_to_A = _hausdorff_to(lift)
     fits = {}
     witness = None
     records = []
@@ -626,7 +635,7 @@ def probe_exponential(system: MapSystem, A, eps: float, delta_grid,
     for delta in sorted(delta_grid):
         if delta >= eps:
             continue
-        U = space.neighborhood(A, delta, closed=True)
+        U = lift.neighborhood(delta, closed=True)
         record = _orbit_record(
             system.image_of_set, U, horizon, hausdorff_to_A,
             f"delta{delta:.6g}/neighborhood", None, tuple((a, 1, len(U)) for a in sorted(U)),

@@ -1,8 +1,9 @@
 """Record the CLI matrices pinned by the golden-output tests.
 
-There are two matrices: `stability` (tests/test_stability_cli_outputs.py)
-and `transport`, the `converge` and `dist --p 1 --plan` runs pinned by
-tests/test_transport_cli_outputs.py.  Run it against a source tree, normally
+There are three matrices: `stability` (tests/test_stability_cli_outputs.py),
+`transport`, the `converge` and `dist --p 1 --plan` runs pinned by
+tests/test_transport_cli_outputs.py, and `decompose`
+(tests/test_decompose_cli_outputs.py).  Run it against a source tree, normally
 an unpacked copy of the parent commit (`git archive <rev> | tar -x -C <dir>`),
 to regenerate a golden file:
 
@@ -10,6 +11,8 @@ to regenerate a golden file:
         --out tests/data/stability_cli_outputs.json
     python tests/data/record_cli_outputs.py --src <dir> --matrix transport \
         --out tests/data/transport_cli_outputs.json
+    python tests/data/record_cli_outputs.py --src <dir> --matrix decompose \
+        --out tests/data/decompose_cli_outputs.json
 
 Each argv runs in-process through `bottleneck_ot.cli.main`.  The input files
 it needs are written to a temporary directory; argv entries refer to them as
@@ -247,9 +250,95 @@ def _transport_matrix():
     return files, cases
 
 
+# ---------------------------------------------------------------- decompose
+#
+# Seeded feasible instances at m = 1-12 (sums of random components inside
+# their sets) reach Base, Case1, Case2, Case3.1 and Case3.3; no run reaches
+# Case3.2 (the `decomposition` module docstring says why).  Then zero targets
+# at the start, infeasible instances of both kinds, bad input, and the two
+# caps.
+
+
+def _decompose_instance(rng, m, n_atoms, density, dens, zero_targets=0, uncovered=0):
+    """Components summed inside random sets; ``zero_targets`` sets get no mass,
+    ``uncovered`` atoms outside every set add their mass to target 0."""
+    labels = [f"a{i}" for i in range(n_atoms)]
+    sets = []
+    for i in range(m):
+        block = [a for a in range(n_atoms - uncovered) if rng.random() < density]
+        sets.append(block or [rng.randrange(n_atoms - uncovered)])
+    xi = [Fraction(0)] * n_atoms
+    targets = []
+    for i, block in enumerate(sets):
+        total = Fraction(0)
+        if i >= m - zero_targets:
+            targets.append(total)
+            continue
+        for a in block:
+            w = Fraction(rng.randint(0, 6), rng.choice(dens))
+            xi[a] += w
+            total += w
+        targets.append(total)
+    for a in range(n_atoms - uncovered, n_atoms):
+        xi[a] = Fraction(rng.randint(1, 4), rng.choice(dens))
+        targets[0] += xi[a]
+    space = {"points": labels, "metric": "euclidean", "coords": [[float(a)] for a in range(n_atoms)]}
+    return {
+        "xi": {"space": space, "weights": _weights([labels[a] for a in range(n_atoms) if xi[a]],
+                                                   [w for w in xi if w])},
+        "sets": [[labels[a] for a in block] for block in sets],
+        "targets": [{"num": t.numerator, "den": t.denominator} for t in targets],
+    }
+
+
+def _overloaded(instance, k):
+    """Raise target k above the mass of its set, taking the excess from the
+    others in index order: totals stay equal, some subset bound fails."""
+    weights = {w["atom"]: Fraction(w["num"], w["den"]) for w in instance["xi"]["weights"]}
+    targets = [Fraction(t["num"], t["den"]) for t in instance["targets"]]
+    lift = sum((weights.get(a, Fraction(0)) for a in instance["sets"][k]), Fraction(0)) - targets[k] + 1
+    for j in range(len(targets)):
+        if j != k and lift:
+            take = min(lift, targets[j])
+            targets[j] -= take
+            targets[k] += take
+            lift -= take
+    return dict(instance, targets=[{"num": t.numerator, "den": t.denominator} for t in targets])
+
+
+def _decompose_matrix():
+    rng = random.Random(20261019)
+    two = {"points": ["x", "y"], "metric": "euclidean", "coords": [[0.0], [1.0]]}
+    files = {
+        # One cell in two sets: epsilon_0 equals the charged target (Case3.1).
+        "one_cell.json": {"xi": {"space": two, "weights": _weights(["x", "y"], [2, 2])},
+                          "sets": [["x", "y"], ["x", "y"]],
+                          "targets": [{"num": 1, "den": 1}, {"num": 3, "den": 1}]},
+        "total_mass.json": {"xi": {"space": two, "weights": _weights(["x"], [1])},
+                            "sets": [["x"], ["y"]],
+                            "targets": [{"num": 1, "den": 1}, {"num": 1, "den": 2}]},
+        "negative_target.json": {"xi": {"space": two, "weights": _weights(["x"], [1])},
+                                 "sets": [["x"]], "targets": [{"num": -1, "den": 1}]},
+    }
+    for m in range(1, 13):
+        for rep, (density, dens) in enumerate(((0.5, (1, 2, 4)), (0.3, (1, 3, 8)))):
+            files[f"feasible_m{m}_{rep}.json"] = _decompose_instance(rng, m, 6 + m, density, dens)
+    for m, zeros in ((3, 1), (5, 2), (8, 1)):
+        files[f"zero_targets_m{m}.json"] = _decompose_instance(rng, m, 8, 0.5, (1, 2), zeros)
+    for m in (4, 9, 12):
+        files[f"overload_m{m}.json"] = _overloaded(_decompose_instance(rng, m, 10, 0.4, (1, 4)), m // 2)
+    files["uncovered_m5.json"] = _decompose_instance(rng, 5, 9, 0.5, (1, 2), uncovered=2)
+    files["cap_m13.json"] = _decompose_instance(rng, 13, 14, 0.4, (1, 2))
+    files["cap_m15.json"] = _decompose_instance(rng, 15, 14, 0.4, (1, 2))
+    cases = [["decompose", f"{{dir}}/{name}", "--format", fmt]
+             for name in files for fmt in ("table", "json")]
+    return files, cases
+
+
 MATRICES = {
     "stability": (lambda: (FILES, _cases()), "stability_cli_outputs.json"),
     "transport": (_transport_matrix, "transport_cli_outputs.json"),
+    "decompose": (_decompose_matrix, "decompose_cli_outputs.json"),
 }
 
 

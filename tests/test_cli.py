@@ -199,6 +199,37 @@ def test_decompose_base_case_trace(capsys, tmp_path):
     assert "trace Base" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_decompose_failing_its_own_verification_is_a_solver_error(capsys, tmp_path, monkeypatch, fmt):
+    # A feasible instance whose construction comes back with one atom's mass
+    # changed: a bug in the program, not an infeasible instance (exit 4).
+    from dataclasses import replace
+
+    from bottleneck_ot import cli
+    from bottleneck_ot.measures import make_measure
+
+    construct = cli.decompose
+
+    def altered(instance, **kwargs):
+        result = construct(instance, **kwargs)
+        first = result.components[0]
+        atom = min(first.weights)
+        changed = make_measure(first.space, dict(first.weights) | {atom: first.weights[atom] / 2})
+        return replace(result, components=(changed,) + result.components[1:])
+
+    monkeypatch.setattr(cli, "decompose", altered)
+    space = {"points": ["a", "b"], "metric": "euclidean", "coords": [[0.0], [1.0]]}
+    inst = write(tmp_path / "two.json", {
+        "xi": {"space": space, "weights": [{"atom": "a", "num": 1, "den": 2},
+                                           {"atom": "b", "num": 1, "den": 2}]},
+        "sets": [["a", "b"], ["b"]],
+        "targets": [{"num": 1, "den": 2}, {"num": 1, "den": 2}],
+    })
+    with pytest.raises(SolverInvariantError, match=r"fails verification: Violation\(component-mass, i=0\)"):
+        main(["decompose", inst, "--format", fmt])
+    assert capsys.readouterr().out == ""
+
+
 def sequence_file(tmp_path, name, terms, limit):
     return write(tmp_path / name, {
         "space": TWO_POINT_SPACE,

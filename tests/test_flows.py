@@ -160,8 +160,9 @@ else:
 """
 
 
-# A feasibility check that lets through an instance whose mass lies outside
-# every set, so the construction finds no occupied cell to slice.
+# A feasibility verdict, handed to decompose, that lets through an instance
+# whose mass lies outside every set, so the construction finds no occupied
+# cell to slice.
 _NO_OCCUPIED_CELL = """
 import sys
 assert sys.flags.optimize, "run me under python -O"
@@ -174,9 +175,8 @@ from bottleneck_ot.spaces import build_space
 space = build_space(["x", "y", "z"], "euclidean", coords=[[0.0], [1.0], [3.0]])
 xi = make_measure(space, [(0, Fraction(2))])
 instance = decomposition.DecompositionInstance.build(xi, [{1}, {2}], [1, 1])
-decomposition.check_feasibility = lambda instance: decomposition.FeasibilityVerdict(True)
 try:
-    decomposition.decompose(instance)
+    decomposition.decompose(instance, verdict=decomposition.FeasibilityVerdict(True))
 except SolverInvariantError as exc:
     print("raised", exc)
 else:

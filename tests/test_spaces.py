@@ -11,7 +11,7 @@ from bottleneck_ot.errors import EmptySet, MetricViolation
 from bottleneck_ot.fileio import parse_space, space_to_obj
 from bottleneck_ot.measures import make_measure
 from bottleneck_ot.spaces import _euclidean, _flat_torus, build_space, hausdorff, same_space
-from bottleneck_ot.stability import _hausdorff_to, _torus_scenario_cached, scenario_torus_shear
+from bottleneck_ot.stability import LiftedSet, _hausdorff_to, _torus_scenario_cached, scenario_torus_shear
 from bottleneck_ot.transport import w_infinity
 
 from conftest import random_space
@@ -259,11 +259,12 @@ def test_neighborhood_equals_the_comprehension_over_distances_to():
         for size in (1, 2, 3):
             atoms = rng.sample(range(n), min(size, n))
             to_set = space.distances_to(atoms)
+            lift = LiftedSet(space, frozenset(atoms))
             for eps in radii:
                 assert space.neighborhood(atoms, eps) == frozenset(
-                    x for x, d in enumerate(to_set) if d < eps)
+                    x for x, d in enumerate(to_set) if d < eps) == lift.neighborhood(eps)
                 assert space.neighborhood(atoms, eps, closed=True) == frozenset(
-                    x for x, d in enumerate(to_set) if d <= eps)
+                    x for x, d in enumerate(to_set) if d <= eps) == lift.neighborhood(eps, closed=True)
     with pytest.raises(EmptySet):
         spaces[0].neighborhood([], 1.0)
 
@@ -274,7 +275,7 @@ def test_hausdorff_from_one_vector_equals_spaces_hausdorff():
         n = space.n_points
         for _ in range(6):
             A = rng.sample(range(n), rng.randint(1, n))
-            to_A = _hausdorff_to(space, A)
+            to_A = _hausdorff_to(LiftedSet(space, frozenset(A)))
             for size in {1, 2, n}:
                 S = frozenset(rng.sample(range(n), min(size, n)))
                 assert to_A(S).hex() == hausdorff(space, A, S).hex()
